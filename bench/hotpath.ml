@@ -93,7 +93,7 @@ let make_routing ~seed = function
     let ts = Transit_stub.generate ~rng:(Rng.create (seed + 3)) params in
     (* uncapped would be O(n^2) memory; the cap makes eviction churn
        part of what is being measured, as it would be in production *)
-    ( Routing.create ~max_cached_sources:512 ts.Transit_stub.graph,
+    ( Routing.dijkstra ~max_cached_sources:512 ts.Transit_stub.graph,
       "dijkstra" )
 
 let measure ~seed ~name ~routing_mode ~batch ~items ~lookups () =

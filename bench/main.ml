@@ -71,8 +71,11 @@ let bechamel_tests () =
   in
   let dijkstra_sssp () =
     (* fresh router so the cache does not absorb the work *)
-    let r = P2p_topology.Routing.create graph_routing in
+    let r = P2p_topology.Routing.dijkstra graph_routing in
     ignore (P2p_topology.Routing.distance r 0 1 : float)
+  in
+  let routing_create () =
+    ignore (P2p_topology.Routing.create graph_routing : P2p_topology.Routing.t)
   in
   [
     Test.make ~name:"fig3-analytic-series" (Staged.stage fig3_series);
@@ -80,6 +83,7 @@ let bechamel_tests () =
     Test.make ~name:"hybrid-insert (ps=0.5)" (Staged.stage insert_once);
     Test.make ~name:"event-queue-1k-churn" (Staged.stage event_queue_churn);
     Test.make ~name:"dijkstra-sssp-384" (Staged.stage dijkstra_sssp);
+    Test.make ~name:"routing-create-384" (Staged.stage routing_create);
     Test.make ~name:"rng-int" (Staged.stage (fun () -> ignore (Rng.int rng 1000 : int)));
     Test.make ~name:"key-hash"
       (Staged.stage (fun () ->

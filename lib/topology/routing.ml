@@ -15,8 +15,8 @@ type graph_routed = {
   mutable cached : int;
 }
 
-(* Precomputed link-state tables over a transit-stub hierarchy (the
-   TinyOS LinkStateC idea: pay for SPF once, amortize over every routed
+(* Precomputed link-state tables over a core/stub hierarchy (the TinyOS
+   LinkStateC idea: pay for SPF once, amortize over every routed
    message).  The decomposition exploits the topology's structure: a
    stub domain touches the rest of the graph through exactly one access
    link, so every inter-domain shortest path factors as
@@ -38,6 +38,12 @@ type link_state = {
   dom_dist : float array array;
   dom_next : int array array; (* first hop, as a global node id; -1 = none *)
   dom_hops : int array array;
+  (* per node, the way up to the backbone: the transit node it enters at
+     (itself for a transit node; -1 when its domain has no access link),
+     and the distance and hops to get there *)
+  attach : int array;
+  up_dist : float array;
+  up_hops : int array;
   (* transit backbone all-pairs, g*g row-major in transit indices *)
   t_index : int array; (* node -> transit index; -1 for stub nodes *)
   t_nodes : int array;
@@ -46,7 +52,10 @@ type link_state = {
   t_hops : int array;
 }
 
-type ls_box = { mutable ls : link_state }
+(* [derived]: the classification came from the graph's bridges
+   ({!create}), so {!refresh} derives it again; otherwise the caller's
+   [is_transit] is kept. *)
+type ls_box = { mutable ls : link_state; derived : bool }
 
 (* [Synthetic] short-circuits path computation entirely: every distinct
    pair is one hop at a fixed latency.  Million-node underlays cannot
@@ -57,8 +66,8 @@ type t =
   | Synthetic of { graph : Graph.t; latency : float }
   | Link_state of ls_box
 
-let create ?(max_cached_sources = max_int) graph =
-  if max_cached_sources < 1 then invalid_arg "Routing.create: max_cached_sources";
+let dijkstra ?(max_cached_sources = max_int) graph =
+  if max_cached_sources < 1 then invalid_arg "Routing.dijkstra: max_cached_sources";
   let n = Graph.node_count graph in
   Graph_routed
     {
@@ -128,7 +137,7 @@ module Heap = struct
     end
 end
 
-let dijkstra graph src =
+let single_source graph src =
   let n = Graph.node_count graph in
   let dist = Array.make n infinity in
   let prev = Array.make n (-1) in
@@ -190,7 +199,7 @@ let source_result t src =
     r
   | None ->
     if t.cached >= t.max_cached then evict_lru t;
-    let r = dijkstra t.graph src in
+    let r = single_source t.graph src in
     t.cache.(src) <- Some r;
     t.cached <- t.cached + 1;
     lru_push_tail t src;
@@ -206,65 +215,147 @@ let drop_cache t =
   t.lru_tail <- -1;
   t.cached <- 0
 
+(* --- core/stub classification from bridges --- *)
+
+(* A node is a stub node when it lies on the strictly smaller side of
+   some bridge of its connected component.  Contracting the
+   2-edge-connected pieces leaves a tree whose edges are the bridges;
+   the nodes on no smaller side form its weighted centroid (one piece,
+   or two joined by a bridge that splits the component evenly), so the
+   core is connected and every maximal stub region hangs off it through
+   exactly one bridge — the one-access-link shape [build_link_state]
+   needs, on any graph.  One Tarjan DFS computes the bridges (low-link)
+   and subtree sizes; a subtree is a contiguous preorder interval, so
+   each smaller side is marked with a difference array.  O(V + E) time
+   and memory. *)
+let core_nodes graph =
+  let n = Graph.node_count graph in
+  let pre = Array.make n (-1) in
+  let low = Array.make n 0 in
+  let size = Array.make n 1 in
+  let parent = Array.make n (-1) in
+  let order = Array.make n 0 in (* preorder position -> node *)
+  let counter = ref 0 in
+  let rec visit u =
+    pre.(u) <- !counter;
+    low.(u) <- !counter;
+    order.(!counter) <- u;
+    incr counter;
+    Graph.iter_neighbors graph u (fun v _ ->
+        if pre.(v) < 0 then begin
+          parent.(v) <- u;
+          visit v;
+          low.(u) <- min low.(u) low.(v);
+          size.(u) <- size.(u) + size.(v)
+        end
+        else if v <> parent.(u) then low.(u) <- min low.(u) pre.(v))
+  in
+  let marks = Array.make (n + 1) 0 in
+  let mark a b =
+    if a < b then begin
+      marks.(a) <- marks.(a) + 1;
+      marks.(b) <- marks.(b) - 1
+    end
+  in
+  for root = 0 to n - 1 do
+    if pre.(root) < 0 then begin
+      let first = !counter in
+      visit root;
+      let last = !counter in
+      let comp = last - first in
+      for i = first + 1 to last - 1 do
+        let c = order.(i) in
+        if low.(c) > pre.(parent.(c)) then begin
+          (* bridge parent(c) -- c: the subtree of c against the rest *)
+          let sub = size.(c) in
+          if 2 * sub < comp then mark i (i + sub)
+          else if 2 * sub > comp then begin
+            mark first i;
+            mark (i + sub) last
+          end
+        end
+      done
+    end
+  done;
+  let core = Array.make n true in
+  let depth = ref 0 in
+  for i = 0 to n - 1 do
+    depth := !depth + marks.(i);
+    if !depth > 0 then core.(order.(i)) <- false
+  done;
+  core
+
 (* --- link-state construction --- *)
 
-(* All-pairs Dijkstra over the subgraph induced by [members] (neighbours
-   outside the set are ignored).  Domains and the transit backbone are
-   small, so a scan-min O(s^2) Dijkstra per source beats heap overhead
-   and allocates only the result tables. *)
-let restricted_all_pairs graph ~members ~index_of ~in_set =
+(* All-pairs shortest paths over the subgraph induced by [members]
+   (neighbours outside the set are ignored): one heap Dijkstra per
+   source, O(s * E_s log s) time for s members and E_s edges among
+   them, s^2 entries per table. *)
+let all_pairs graph ~members ~index_of ~in_set =
   let s = Array.length members in
   let dist = Array.make (s * s) infinity in
   let next = Array.make (s * s) (-1) in
   let hops = Array.make (s * s) 0 in
-  let d = Array.make s infinity in
   let settled = Array.make s false in
-  let first = Array.make s (-1) in
-  let hop = Array.make s 0 in
+  let heap = Heap.create () in
   for si = 0 to s - 1 do
-    Array.fill d 0 s infinity;
     Array.fill settled 0 s false;
-    Array.fill first 0 s (-1);
-    Array.fill hop 0 s 0;
-    d.(si) <- 0.0;
-    let src = members.(si) in
-    for _round = 0 to s - 1 do
-      (* pick the unsettled node with the smallest tentative distance *)
-      let best = ref (-1) in
-      let best_d = ref infinity in
-      for j = 0 to s - 1 do
-        if (not settled.(j)) && d.(j) < !best_d then begin
-          best := j;
-          best_d := d.(j)
-        end
-      done;
-      if !best >= 0 then begin
-        let u = !best in
-        settled.(u) <- true;
-        Graph.iter_neighbors graph members.(u) (fun v w ->
-            if in_set v then begin
-              let vi = index_of v in
-              let alt = d.(u) +. w in
-              if alt < d.(vi) then begin
-                d.(vi) <- alt;
-                first.(vi) <- (if members.(u) = src then v else first.(u));
-                hop.(vi) <- hop.(u) + 1
-              end
-            end)
-      end
-    done;
     let row = si * s in
-    for j = 0 to s - 1 do
-      dist.(row + j) <- d.(j);
-      next.(row + j) <- first.(j);
-      hops.(row + j) <- hop.(j)
-    done
+    dist.(row + si) <- 0.0;
+    Heap.push heap (0.0, si);
+    let rec loop () =
+      match Heap.pop heap with
+      | None -> ()
+      | Some (d, ui) ->
+        if not settled.(ui) then begin
+          settled.(ui) <- true;
+          Graph.iter_neighbors graph members.(ui) (fun v w ->
+              if in_set v then begin
+                let vi = index_of v in
+                let alt = d +. w in
+                if alt < dist.(row + vi) then begin
+                  dist.(row + vi) <- alt;
+                  next.(row + vi) <- (if ui = si then v else next.(row + ui));
+                  hops.(row + vi) <- hops.(row + ui) + 1;
+                  Heap.push heap (alt, vi)
+                end
+              end)
+        end;
+        loop ()
+    in
+    loop ()
   done;
   (dist, next, hops)
 
-let build_link_state graph ~is_transit =
+let domain_tables ls d =
+  all_pairs ls.ls_graph ~members:ls.dom_members.(d)
+    ~index_of:(fun v -> ls.dom_index.(v))
+    ~in_set:(fun v -> ls.domain_of.(v) = d)
+
+let transit_tables ls =
+  all_pairs ls.ls_graph ~members:ls.t_nodes
+    ~index_of:(fun v -> ls.t_index.(v))
+    ~in_set:(fun v -> ls.is_transit.(v))
+
+(* Re-derive the way up to the backbone for every member of domain [d]
+   from its intra-domain tables and access link. *)
+let set_up ls d =
+  let members = ls.dom_members.(d) in
+  let s = Array.length members in
+  let gw = ls.dom_gateway.(d) in
+  Array.iter
+    (fun u ->
+      if gw < 0 then ls.up_dist.(u) <- infinity
+      else begin
+        let k = (ls.dom_index.(u) * s) + ls.dom_index.(gw) in
+        ls.attach.(u) <- ls.dom_attach.(d);
+        ls.up_dist.(u) <- ls.dom_dist.(d).(k) +. ls.dom_access.(d);
+        ls.up_hops.(u) <- ls.dom_hops.(d).(k) + 1
+      end)
+    members
+
+let build_link_state graph ~transit =
   let n = Graph.node_count graph in
-  let transit = Array.init n is_transit in
   (* stub domains = connected components of the stub-only subgraph *)
   let domain_of = Array.make n (-1) in
   let members_rev = ref [] in
@@ -322,22 +413,6 @@ let build_link_state graph ~is_transit =
               end))
         members)
     dom_members;
-  (* intra-domain tables *)
-  let dom_dist = Array.make domains [||] in
-  let dom_next = Array.make domains [||] in
-  let dom_hops = Array.make domains [||] in
-  Array.iteri
-    (fun d members ->
-      let dist, next, hops =
-        restricted_all_pairs graph ~members
-          ~index_of:(fun v -> dom_index.(v))
-          ~in_set:(fun v -> (not transit.(v)) && domain_of.(v) = d)
-      in
-      dom_dist.(d) <- dist;
-      dom_next.(d) <- next;
-      dom_hops.(d) <- hops)
-    dom_members;
-  (* transit backbone tables *)
   let t_nodes =
     let acc = ref [] in
     for u = n - 1 downto 0 do
@@ -347,119 +422,116 @@ let build_link_state graph ~is_transit =
   in
   let t_index = Array.make n (-1) in
   Array.iteri (fun i u -> t_index.(u) <- i) t_nodes;
-  let t_dist, t_next, t_hops =
-    restricted_all_pairs graph ~members:t_nodes
-      ~index_of:(fun v -> t_index.(v))
-      ~in_set:(fun v -> transit.(v))
+  let ls =
+    {
+      ls_graph = graph;
+      is_transit = transit;
+      domain_of;
+      dom_members;
+      dom_index;
+      dom_gateway;
+      dom_attach;
+      dom_access;
+      dom_dist = Array.make domains [||];
+      dom_next = Array.make domains [||];
+      dom_hops = Array.make domains [||];
+      attach = Array.init n (fun u -> if transit.(u) then u else -1);
+      up_dist = Array.make n 0.0;
+      up_hops = Array.make n 0;
+      t_index;
+      t_nodes;
+      t_dist = [||];
+      t_next = [||];
+      t_hops = [||];
+    }
   in
-  {
-    ls_graph = graph;
-    is_transit = transit;
-    domain_of;
-    dom_members;
-    dom_index;
-    dom_gateway;
-    dom_attach;
-    dom_access;
-    dom_dist;
-    dom_next;
-    dom_hops;
-    t_index;
-    t_nodes;
-    t_dist;
-    t_hops;
-    t_next;
-  }
+  for d = 0 to domains - 1 do
+    let dist, next, hops = domain_tables ls d in
+    ls.dom_dist.(d) <- dist;
+    ls.dom_next.(d) <- next;
+    ls.dom_hops.(d) <- hops;
+    set_up ls d
+  done;
+  let t_dist, t_next, t_hops = transit_tables ls in
+  { ls with t_dist; t_next; t_hops }
 
 let link_state graph ~is_transit =
-  Link_state { ls = build_link_state graph ~is_transit }
+  let transit = Array.init (Graph.node_count graph) is_transit in
+  Link_state { ls = build_link_state graph ~transit; derived = false }
+
+let create graph =
+  Link_state { ls = build_link_state graph ~transit:(core_nodes graph); derived = true }
 
 (* --- link-state queries --- *)
 
-let ls_intra_dist ls d u v =
-  let s = Array.length ls.dom_members.(d) in
-  ls.dom_dist.(d).((ls.dom_index.(u) * s) + ls.dom_index.(v))
-
-let ls_intra_hops ls d u v =
-  let s = Array.length ls.dom_members.(d) in
-  ls.dom_hops.(d).((ls.dom_index.(u) * s) + ls.dom_index.(v))
-
-let ls_intra_next ls d u v =
-  let s = Array.length ls.dom_members.(d) in
-  ls.dom_next.(d).((ls.dom_index.(u) * s) + ls.dom_index.(v))
-
-let ls_t_dist ls u v =
-  let g = Array.length ls.t_nodes in
-  ls.t_dist.((ls.t_index.(u) * g) + ls.t_index.(v))
-
-let ls_t_hops ls u v =
-  let g = Array.length ls.t_nodes in
-  ls.t_hops.((ls.t_index.(u) * g) + ls.t_index.(v))
-
-let ls_t_next ls u v =
-  let g = Array.length ls.t_nodes in
-  ls.t_next.((ls.t_index.(u) * g) + ls.t_index.(v))
-
-(* Distance (and hops) from a node up to its backbone attachment point:
-   0 for a transit node; intra-path to the gateway plus the access link
-   for a stub node.  Infinity when the domain has no access link. *)
-let ls_to_backbone ls u du =
-  if du < 0 then (u, 0.0, 0)
-  else begin
-    let gw = ls.dom_gateway.(du) in
-    if gw < 0 then (-1, infinity, 0)
-    else
-      ( ls.dom_attach.(du),
-        ls_intra_dist ls du u gw +. ls.dom_access.(du),
-        ls_intra_hops ls du u gw + 1 )
-  end
-
+(* Both queries are single functions over local bindings and table
+   reads — no tuples, no boxed intermediates — because they run once per
+   routed message.  Reachability is read off the int tables: a stub
+   node's [attach] is -1 when its domain has no access link, and a
+   first hop of -1 means no path. *)
 let ls_distance ls u v =
   if u = v then 0.0
   else begin
-    let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
-    if du >= 0 && du = dv then ls_intra_dist ls du u v
-    else if du < 0 && dv < 0 then ls_t_dist ls u v
+    let du = ls.domain_of.(u) in
+    if du >= 0 && du = ls.domain_of.(v) then begin
+      let s = Array.length ls.dom_members.(du) in
+      ls.dom_dist.(du).((ls.dom_index.(u) * s) + ls.dom_index.(v))
+    end
     else begin
-      let au, up, _ = ls_to_backbone ls u du in
-      let av, down, _ = ls_to_backbone ls v dv in
-      if au < 0 || av < 0 then infinity else up +. ls_t_dist ls au av +. down
+      let au = ls.attach.(u) and av = ls.attach.(v) in
+      if au < 0 || av < 0 then infinity
+      else begin
+        let g = Array.length ls.t_nodes in
+        ls.up_dist.(u)
+        +. ls.t_dist.((ls.t_index.(au) * g) + ls.t_index.(av))
+        +. ls.up_dist.(v)
+      end
     end
   end
 
 let ls_hop_count ls u v =
   if u = v then 0
   else begin
-    let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
-    if du >= 0 && du = dv then ls_intra_hops ls du u v
-    else if du < 0 && dv < 0 then ls_t_hops ls u v
+    let du = ls.domain_of.(u) in
+    if du >= 0 && du = ls.domain_of.(v) then begin
+      let s = Array.length ls.dom_members.(du) in
+      let k = (ls.dom_index.(u) * s) + ls.dom_index.(v) in
+      if ls.dom_next.(du).(k) < 0 then raise Not_found;
+      ls.dom_hops.(du).(k)
+    end
     else begin
-      let au, _, hu = ls_to_backbone ls u du in
-      let av, _, hv = ls_to_backbone ls v dv in
-      if au < 0 || av < 0 then 0 else hu + ls_t_hops ls au av + hv
+      let au = ls.attach.(u) and av = ls.attach.(v) in
+      if au < 0 || av < 0 then raise Not_found;
+      let g = Array.length ls.t_nodes in
+      let k = (ls.t_index.(au) * g) + ls.t_index.(av) in
+      if au <> av && ls.t_next.(k) < 0 then raise Not_found;
+      ls.up_hops.(u) + ls.t_hops.(k) + ls.up_hops.(v)
     end
   end
 
-(* First hop from [u] toward [v]; -1 when unreachable.  Mirrors the
+let ls_intra_next ls d u v =
+  let s = Array.length ls.dom_members.(d) in
+  ls.dom_next.(d).((ls.dom_index.(u) * s) + ls.dom_index.(v))
+
+let ls_t_next ls u v =
+  let g = Array.length ls.t_nodes in
+  ls.t_next.((ls.t_index.(u) * g) + ls.t_index.(v))
+
+(* First hop from [u] toward [v], for a reachable pair.  Mirrors the
    distance decomposition: head for the gateway, cross the backbone to
    the destination domain's attachment, drop down its access link,
    finish inside the domain. *)
 let ls_next_hop ls u v =
   let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
-  if u = v then u
-  else if du >= 0 && du = dv then ls_intra_next ls du u v
+  if du >= 0 && du = dv then ls_intra_next ls du u v
   else if du >= 0 then begin
     let gw = ls.dom_gateway.(du) in
-    if gw < 0 then -1
-    else if u = gw then ls.dom_attach.(du)
-    else ls_intra_next ls du u gw
+    if u = gw then ls.dom_attach.(du) else ls_intra_next ls du u gw
   end
   else if dv < 0 then ls_t_next ls u v
   else begin
     let a = ls.dom_attach.(dv) in
-    if a < 0 then -1
-    else if u = a then ls.dom_gateway.(dv)
-    else ls_t_next ls u a
+    if u = a then ls.dom_gateway.(dv) else ls_t_next ls u a
   end
 
 let ls_path ls u v =
@@ -468,31 +540,25 @@ let ls_path ls u v =
     if node = v then List.rev (v :: acc)
     else collect (ls_next_hop ls node v) (node :: acc)
   in
-  if u = v then [ u ] else collect u []
+  collect u []
 
 (* --- incremental recomputation --- *)
 
 let rebuild_domain ls d =
-  let members = ls.dom_members.(d) in
-  let dist, next, hops =
-    restricted_all_pairs ls.ls_graph ~members
-      ~index_of:(fun v -> ls.dom_index.(v))
-      ~in_set:(fun v -> (not ls.is_transit.(v)) && ls.domain_of.(v) = d)
-  in
+  let dist, next, hops = domain_tables ls d in
   ls.dom_dist.(d) <- dist;
   ls.dom_next.(d) <- next;
-  ls.dom_hops.(d) <- hops
+  ls.dom_hops.(d) <- hops;
+  set_up ls d
 
 let rebuild_transit ls =
-  let dist, next, hops =
-    restricted_all_pairs ls.ls_graph ~members:ls.t_nodes
-      ~index_of:(fun v -> ls.t_index.(v))
-      ~in_set:(fun v -> ls.is_transit.(v))
-  in
+  let dist, next, hops = transit_tables ls in
   Array.blit dist 0 ls.t_dist 0 (Array.length dist);
   Array.blit next 0 ls.t_next 0 (Array.length next);
   Array.blit hops 0 ls.t_hops 0 (Array.length hops)
 
+(* Latencies never change which edges are bridges, so a derived
+   classification survives every [update_link]. *)
 let update_link t u v ~latency =
   match t with
   | Synthetic _ -> invalid_arg "Routing.update_link: synthetic router"
@@ -506,17 +572,21 @@ let update_link t u v ~latency =
     let du = ls.domain_of.(u) and dv = ls.domain_of.(v) in
     if du < 0 && dv < 0 then rebuild_transit ls
     else if du >= 0 && du = dv then rebuild_domain ls du
-    else
+    else begin
       (* the only stub-to-transit edges are access links *)
       let d = if du >= 0 then du else dv in
-      ls.dom_access.(d) <- latency
+      ls.dom_access.(d) <- latency;
+      set_up ls d
+    end
 
 let refresh t =
   match t with
   | Synthetic _ -> ()
   | Graph_routed r -> drop_cache r
   | Link_state b ->
-    b.ls <- build_link_state b.ls.ls_graph ~is_transit:(fun u -> b.ls.is_transit.(u))
+    let graph = b.ls.ls_graph in
+    let transit = if b.derived then core_nodes graph else b.ls.is_transit in
+    b.ls <- build_link_state graph ~transit
 
 (* --- the common query surface --- *)
 
@@ -556,9 +626,7 @@ let hop_count t u v =
       !hops
     end
   | Synthetic _ -> if u = v then 0 else 1
-  | Link_state b ->
-    if u <> v && ls_distance b.ls u v = infinity then raise Not_found;
-    ls_hop_count b.ls u v
+  | Link_state b -> ls_hop_count b.ls u v
 
 let eccentricity t u =
   match t with

@@ -2,28 +2,45 @@
 
     Overlay links are logical: a message sent over the overlay edge
     [u -> v] traverses the latency-shortest physical path from [u] to [v].
-    Three backends compute those paths:
+    Four constructors build the routers:
 
-    - {!create} — on-demand per-source Dijkstra with an LRU-bounded cache.
-      Exact on any graph; the right default below a few thousand nodes.
-    - {!link_state} — precomputed tables exploiting the transit-stub
-      hierarchy (each stub domain reaches the backbone through exactly one
-      access link, so every inter-domain path factors through the
-      gateways).  All-pairs state is kept only inside each small domain
-      and across the transit backbone — O(Σ sᵢ² + g²) memory, O(1)
-      [distance]/[hop_count] — so the real graph stays affordable on the
-      hot message path at 10k+ nodes.
+    - {!create} — link-state tables over a hierarchy derived from the
+      graph itself.  A node is a stub node when it lies on the strictly
+      smaller side of some bridge of its connected component; the rest
+      is the core.  Every maximal stub region then hangs off the core
+      through exactly one bridge, so the {!link_state} decomposition
+      applies to any graph: a transit-stub network (its backbone is the
+      core), a star (the hub), a tree (its centroid), a disconnected
+      graph (one core per component).  Classification costs one
+      O(V + E) bridge pass; the tables cost O(Σ sᵢ² + g²) memory for
+      stub regions of sᵢ nodes and a core of g, and O(g · E log g) time
+      for the core.  A bridgeless graph is all core, g = V: the V
+      single-source runs and V² entries of a fully warmed {!dijkstra}
+      cache, in three tables to its two.
+      Queries are O(1) and allocate nothing beyond [distance]'s float.
+    - {!link_state} — the same tables, with the caller naming the
+      transit (core) nodes.
+    - {!dijkstra} — per-source Dijkstra with an LRU-bounded cache.
+      Exact on any graph with no precomputation; kept as the reference
+      the table backends are tested against and the baseline the
+      hot-path bench measures them against.
     - {!synthetic} — a fake uniform-latency clique for overlay-only
       scalability studies. *)
 
 type t
 
-(** [create graph] prepares a Dijkstra router; no paths are computed yet.
-    [max_cached_sources] caps how many single-source results stay cached
-    (O(1) LRU eviction beyond it); the default is unlimited — O(n²) memory
-    once every node has sent, which is the right trade below a few
-    thousand nodes.  @raise Invalid_argument when [max_cached_sources < 1]. *)
-val create : ?max_cached_sources:int -> Graph.t -> t
+(** [create graph] derives the core/stub hierarchy from the graph's
+    bridges (see above) and precomputes link-state tables over it.
+    Exact on any graph: distances agree with {!dijkstra} to float-sum
+    tolerance. *)
+val create : Graph.t -> t
+
+(** [dijkstra graph] prepares a Dijkstra router; no paths are computed
+    yet.  [max_cached_sources] caps how many single-source results stay
+    cached (O(1) LRU eviction beyond it); the default is unlimited —
+    O(n²) memory once every node has sent.
+    @raise Invalid_argument when [max_cached_sources < 1]. *)
+val dijkstra : ?max_cached_sources:int -> Graph.t -> t
 
 (** [link_state graph ~is_transit] precomputes hierarchical routing
     tables over a transit-stub graph; [is_transit u] classifies node [u].
@@ -64,15 +81,18 @@ val hop_count : t -> int -> int -> int
     [u -- v] and re-derives only the routing state the change can affect:
     the Dijkstra backend drops its cache; the link-state backend rebuilds
     the one stub domain (intra-domain edge), the backbone tables
-    (transit-transit edge), or just the stored access latency
-    (stub-to-transit edge).
+    (transit-transit edge), or just the domain's way up to the backbone
+    (stub-to-transit edge).  Latencies do not change which edges are
+    bridges, so a {!create} router keeps its classification.
     @raise Invalid_argument on a {!synthetic} router; [Not_found] when
     the edge is absent. *)
 val update_link : t -> int -> int -> latency:float -> unit
 
 (** [refresh t] recomputes all routing state from the current graph.
     Required after structural changes ([Graph.add_edge]) that
-    {!update_link} does not cover.  No-op for {!synthetic}. *)
+    {!update_link} does not cover; a {!create} router derives its
+    core/stub classification again, a {!link_state} router keeps the
+    caller's.  No-op for {!synthetic}. *)
 val refresh : t -> unit
 
 (** [eccentricity t u] is the maximum finite distance from [u]. *)

@@ -191,8 +191,8 @@ let test_routing_lru_bound () =
      answering exactly like an unbounded one. *)
   let rng = Rng.create 6 in
   let t = Transit_stub.generate ~rng small_params in
-  let unbounded = Routing.create t.Transit_stub.graph in
-  let capped = Routing.create ~max_cached_sources:2 t.Transit_stub.graph in
+  let unbounded = Routing.dijkstra t.Transit_stub.graph in
+  let capped = Routing.dijkstra ~max_cached_sources:2 t.Transit_stub.graph in
   (* cycle through more sources than the cap, twice, so every source is
      computed, evicted and recomputed at least once *)
   for round = 1 to 2 do
@@ -206,8 +206,8 @@ let test_routing_lru_bound () =
     done
   done;
   Alcotest.check_raises "cap must be positive"
-    (Invalid_argument "Routing.create: max_cached_sources") (fun () ->
-      ignore (Routing.create ~max_cached_sources:0 t.Transit_stub.graph : Routing.t))
+    (Invalid_argument "Routing.dijkstra: max_cached_sources") (fun () ->
+      ignore (Routing.dijkstra ~max_cached_sources:0 t.Transit_stub.graph : Routing.t))
 
 let test_routing_eccentricity () =
   let r = Routing.create (line_graph 5) in
@@ -232,54 +232,68 @@ let is_transit_of t u =
   | Transit_stub.Transit _ -> true
   | Transit_stub.Stub _ -> false
 
-(* When [u ~ v], the backend's reported path must be real (edges exist),
-   cost exactly the reported distance, and agree with [hop_count].  This
-   is checked per backend, not across backends: equal-cost ties may give
-   the two backends different — equally shortest — paths. *)
-let check_path_valid g r name u v =
-  if Routing.distance r u v < infinity then begin
-    let p = Routing.path r u v in
-    (match p with
-     | first :: _ -> checki (name ^ ": path starts at u") u first
-     | [] -> Alcotest.fail (name ^ ": empty path"));
-    checki (name ^ ": path ends at v") v (List.nth p (List.length p - 1));
-    let rec cost = function
-      | a :: (b :: _ as rest) ->
-        checkb (name ^ ": edge exists") true (Graph.has_edge g a b);
-        Graph.latency g a b +. cost rest
-      | _ -> 0.0
-    in
-    Alcotest.check (Alcotest.float 1e-6)
-      (name ^ ": path cost = distance")
-      (Routing.distance r u v) (cost p);
-    checki
-      (name ^ ": hop_count = |path| - 1")
-      (List.length p - 1)
-      (Routing.hop_count r u v)
-  end
+(* Every pair of [r] against a fresh Dijkstra oracle over the same
+   graph: distance to float-sum tolerance (hierarchical composition sums
+   in a different order), the same hop count (or both unreachable), and
+   a valid path — a walk over real edges from [u] to [v] whose cost is
+   the distance and whose length is the hop count.  The graphs carry
+   random float latencies, so shortest paths are unique and hop counts
+   comparable across backends.  Checked with [failf] rather than
+   [Alcotest.check], which logs every assertion: 1000-node graphs have
+   10^6 pairs. *)
+let check_matches_dijkstra name g r =
+  let oracle = Routing.dijkstra g in
+  let hops r u v = match Routing.hop_count r u v with h -> h | exception Not_found -> -1 in
+  let close a b = a = b || Float.abs (a -. b) <= 1e-6 in
+  let n = Graph.node_count g in
+  (* edge latencies as an n*n matrix, 0 where there is no edge *)
+  let weight = Array.make (n * n) 0.0 in
+  List.iter
+    (fun e ->
+      weight.((e.Graph.u * n) + e.Graph.v) <- e.Graph.latency;
+      weight.((e.Graph.v * n) + e.Graph.u) <- e.Graph.latency)
+    (Graph.edges g);
+  for u = 0 to n - 1 do
+    for v = 0 to n - 1 do
+      let want = Routing.distance oracle u v and got = Routing.distance r u v in
+      if not (close want got) then
+        Alcotest.failf "%s: distance %d->%d: dijkstra %g, router %g" name u v want got;
+      let want_hops = hops oracle u v and got_hops = hops r u v in
+      if want_hops <> got_hops then
+        Alcotest.failf "%s: hop_count %d->%d: dijkstra %d, router %d" name u v want_hops
+          got_hops;
+      if got < infinity then begin
+        let rec walk cost links = function
+          | [ last ] -> (last, cost, links)
+          | a :: (b :: _ as rest) ->
+            let w = weight.((a * n) + b) in
+            if w = 0.0 then
+              Alcotest.failf "%s: path %d->%d uses missing edge %d-%d" name u v a b;
+            walk (cost +. w) (links + 1) rest
+          | [] -> Alcotest.failf "%s: empty path %d->%d" name u v
+        in
+        match Routing.path r u v with
+        | first :: _ as p ->
+          let last, cost, links = walk 0.0 0 p in
+          if first <> u || last <> v || (not (close cost got)) || links <> got_hops then
+            Alcotest.failf "%s: path %d->%d is not a shortest path" name u v
+        | [] -> Alcotest.failf "%s: empty path %d->%d" name u v
+      end
+    done
+  done
 
 (* Property: over random transit-stub graphs, the precomputed link-state
-   tables answer exactly like per-source Dijkstra on every pair
-   (distances to float tolerance — hierarchical composition sums in a
-   different order), and both backends report self-consistent paths. *)
+   tables answer exactly like per-source Dijkstra on every pair, and both
+   backends report valid paths (the oracle checked against itself). *)
 let test_link_state_matches_dijkstra () =
   List.iter
     (fun seed ->
       let rng = Rng.create seed in
       let t = Transit_stub.generate ~rng small_params in
       let g = t.Transit_stub.graph in
-      let dij = Routing.create g in
-      let ls = Routing.link_state g ~is_transit:(is_transit_of t) in
-      let n = Graph.node_count g in
-      for u = 0 to n - 1 do
-        for v = 0 to n - 1 do
-          Alcotest.check (Alcotest.float 1e-6) "distance agrees"
-            (Routing.distance dij u v)
-            (Routing.distance ls u v);
-          check_path_valid g dij "dijkstra" u v;
-          check_path_valid g ls "link_state" u v
-        done
-      done)
+      check_matches_dijkstra "dijkstra" g (Routing.dijkstra g);
+      check_matches_dijkstra "link_state" g
+        (Routing.link_state g ~is_transit:(is_transit_of t)))
     [ 11; 12; 13 ]
 
 (* Hand-built hierarchy where every figure is known exactly: transit
@@ -342,7 +356,7 @@ let test_link_state_update_link () =
   let transit = pick (fun e -> is_t e.Graph.u && is_t e.Graph.v) in
   let access = pick (fun e -> is_t e.Graph.u <> is_t e.Graph.v) in
   let check_against_fresh name =
-    let fresh = Routing.create g in
+    let fresh = Routing.dijkstra g in
     let n = Graph.node_count g in
     for u = 0 to n - 1 do
       for v = 0 to n - 1 do
@@ -361,7 +375,7 @@ let test_link_state_update_link () =
 
 let test_graph_routed_update_link () =
   let g = line_graph 5 in
-  let r = Routing.create g in
+  let r = Routing.dijkstra g in
   checkf "before" 4.0 (Routing.distance r 0 4);
   (* the cached source-0 tree must be dropped, not reused *)
   Routing.update_link r 2 3 ~latency:10.0;
@@ -394,12 +408,226 @@ let test_routing_lru_cap_one () =
      head/tail bookkeeping must survive constant single-entry churn *)
   let rng = Rng.create 8 in
   let t = Transit_stub.generate ~rng small_params in
-  let unbounded = Routing.create t.Transit_stub.graph in
-  let capped = Routing.create ~max_cached_sources:1 t.Transit_stub.graph in
+  let unbounded = Routing.dijkstra t.Transit_stub.graph in
+  let capped = Routing.dijkstra ~max_cached_sources:1 t.Transit_stub.graph in
   for v = 0 to 53 do
     checkf "source 0" (Routing.distance unbounded 0 v) (Routing.distance capped 0 v);
     checkf "source 9" (Routing.distance unbounded 9 v) (Routing.distance capped 9 v)
   done
+
+(* --- Routing.create: the hierarchy derived from bridges --- *)
+
+(* [p2psim]'s topology sizing for an [n]-peer run *)
+let p2psim_params n =
+  let rec fit stub_nodes =
+    let p =
+      {
+        Transit_stub.default_params with
+        Transit_stub.transit_domains = 3;
+        transit_nodes = 3;
+        stub_domains_per_node = 4;
+        stub_nodes;
+      }
+    in
+    if Transit_stub.node_count p >= n then p else fit (stub_nodes + 1)
+  in
+  fit 3
+
+let ts_graph ~seed params =
+  (Transit_stub.generate ~rng:(Rng.create seed) params).Transit_stub.graph
+
+let star_graph leaves =
+  let g = Graph.create (leaves + 1) in
+  for i = 1 to leaves do
+    Graph.add_edge g 0 i ~latency:(float_of_int i)
+  done;
+  g
+
+(* a triangle {0,1,2} with a tail 2-3-4, a separate edge 5-6, and an
+   isolated node 7 *)
+let disconnected_graph () =
+  let g = Graph.create 8 in
+  List.iter
+    (fun (u, v, latency) -> Graph.add_edge g u v ~latency)
+    [ (0, 1, 1.0); (1, 2, 2.0); (0, 2, 2.5); (2, 3, 1.5); (3, 4, 0.5); (5, 6, 3.0) ];
+  g
+
+(* Backbone cycle 0-1-2-3; stub domain {4,5} on 0 through 0-4; transit
+   node 6 hangs off 2 by the bridge 2-6 and carries the stub domain
+   {7,8} through 6-7.  The bridge rule puts 6, 7 and 8 in one stub
+   region. *)
+let hanging_transit_graph () =
+  let g = Graph.create 9 in
+  List.iter
+    (fun (u, v, latency) -> Graph.add_edge g u v ~latency)
+    [
+      (0, 1, 20.0); (1, 2, 25.0); (2, 3, 20.0); (3, 0, 30.0);
+      (0, 4, 8.0); (4, 5, 1.5);
+      (2, 6, 40.0); (6, 7, 9.0); (7, 8, 2.0);
+    ];
+  g
+
+(* a ring with random chords: every edge lies on a cycle *)
+let bridgeless_graph ~seed n =
+  let rng = Rng.create seed in
+  let g = Graph.create n in
+  let latency () = Rng.float_in_range rng ~lo:1.0 ~hi:20.0 in
+  for i = 0 to n - 1 do
+    Graph.add_edge g i ((i + 1) mod n) ~latency:(latency ())
+  done;
+  for _ = 1 to n do
+    let u = Rng.int rng n and v = Rng.int rng n in
+    if u <> v && not (Graph.has_edge g u v) then Graph.add_edge g u v ~latency:(latency ())
+  done;
+  g
+
+let test_create_matches_dijkstra () =
+  let graphs =
+    [
+      ("p2psim n=100", ts_graph ~seed:43 (p2psim_params 100));
+      ("p2psim n=1000", ts_graph ~seed:43 (p2psim_params 1000));
+      ("star", star_graph 12);
+      ("line", line_graph 9);
+      ("disconnected", disconnected_graph ());
+      ("hanging transit node", hanging_transit_graph ());
+      ("bridgeless", bridgeless_graph ~seed:3 60);
+    ]
+    @ List.map
+        (fun seed ->
+          (Printf.sprintf "default seed %d" seed, ts_graph ~seed Transit_stub.default_params))
+        [ 38; 1; 2; 3 ]
+  in
+  List.iter (fun (name, g) -> check_matches_dijkstra name g (Routing.create g)) graphs
+
+(* The derived core is exactly the expected one.  [create] and
+   [link_state] build the same tables from the same classification, so
+   with the expected core as [is_transit] the two routers reach the same
+   number of heap words; a larger core (or a smaller stub region) shows
+   as more. *)
+let check_core name g ~core =
+  let words r = Obj.reachable_words (Obj.repr (r : Routing.t)) in
+  checki (name ^ ": tables of the expected core")
+    (words (Routing.link_state g ~is_transit:core))
+    (words (Routing.create g))
+
+let test_create_core () =
+  (* a tail 0..99 (numbered first, so the bridge pass starts at its far
+     end) on a bridgeless ring 100..299: the ring is the core *)
+  let g = Graph.create 300 in
+  for i = 0 to 98 do
+    Graph.add_edge g i (i + 1) ~latency:1.0
+  done;
+  Graph.add_edge g 99 100 ~latency:1.0;
+  for i = 100 to 299 do
+    Graph.add_edge g i (if i = 299 then 100 else i + 1) ~latency:2.0
+  done;
+  check_core "ring with a tail" g ~core:(fun u -> u >= 100);
+  (* a star whose hub is the last node *)
+  let g = Graph.create 9 in
+  for i = 0 to 7 do
+    Graph.add_edge g i 8 ~latency:1.0
+  done;
+  check_core "star" g ~core:(fun u -> u = 8);
+  check_core "odd line" (line_graph 5) ~core:(fun u -> u = 2);
+  check_core "even line: the bridge splitting it evenly" (line_graph 6) ~core:(fun u ->
+      u = 2 || u = 3);
+  check_core "hanging transit node" (hanging_transit_graph ()) ~core:(fun u -> u < 4);
+  check_core "one core per component" (disconnected_graph ()) ~core:(fun u ->
+      u <= 2 || u >= 5)
+
+(* [update_link] on each edge kind of the derived hierarchy: an access
+   bridge (core to stub region), an intra-domain edge, a core edge —
+   on the hand-built graph, where the kinds are known, and on a
+   transit-stub graph. *)
+let test_create_update_link () =
+  let g = hanging_transit_graph () in
+  let r = Routing.create g in
+  List.iter
+    (fun (name, u, v, latency) ->
+      Routing.update_link r u v ~latency;
+      check_matches_dijkstra name g r)
+    [
+      ("access bridge 2-6", 2, 6, 5.0);
+      ("access bridge 0-4", 0, 4, 60.0);
+      ("intra-domain 6-7", 6, 7, 0.5);
+      ("intra-domain 4-5", 4, 5, 7.0);
+      ("core 0-3", 0, 3, 1.0);
+      ("core 1-2", 1, 2, 90.0);
+    ];
+  let t = Transit_stub.generate ~rng:(Rng.create 24) small_params in
+  let g = t.Transit_stub.graph in
+  let r = Routing.create g in
+  let is_t = is_transit_of t in
+  let edges = Graph.edges g in
+  let pick pred = List.find pred edges in
+  List.iter
+    (fun (name, e, latency) ->
+      Routing.update_link r e.Graph.u e.Graph.v ~latency;
+      check_matches_dijkstra name g r)
+    [
+      ("access link", pick (fun e -> is_t e.Graph.u <> is_t e.Graph.v), 0.75);
+      ("intra-stub", pick (fun e -> (not (is_t e.Graph.u)) && not (is_t e.Graph.v)), 6.0);
+      ("transit-transit", pick (fun e -> is_t e.Graph.u && is_t e.Graph.v), 200.0);
+    ]
+
+(* [refresh] after structural changes derives the classification again:
+   edges that close cycles move stub regions into the core. *)
+let test_create_refresh_reclassifies () =
+  let g = star_graph 6 in
+  let r = Routing.create g in
+  Graph.add_edge g 1 2 ~latency:0.5;
+  Routing.refresh r;
+  check_matches_dijkstra "star + leaf edge" g r;
+  Graph.add_edge g 3 4 ~latency:0.25;
+  Graph.add_edge g 4 5 ~latency:0.25;
+  Routing.refresh r;
+  check_matches_dijkstra "star + leaf chain" g r;
+  let g = disconnected_graph () in
+  let r = Routing.create g in
+  Graph.add_edge g 4 5 ~latency:1.0;
+  Graph.add_edge g 6 7 ~latency:1.0;
+  Routing.refresh r;
+  check_matches_dijkstra "components joined" g r
+
+(* The per-message queries allocate nothing: [hop_count] returns an
+   immediate int, and [distance] at most boxes its float result. *)
+let test_create_queries_allocation_free () =
+  let g = ts_graph ~seed:38 Transit_stub.default_params in
+  let r = Routing.create g in
+  let n = Graph.node_count g in
+  let calls = 10_000 in
+  let rng = Rng.create 9 in
+  let us = Array.init calls (fun _ -> Rng.int rng n) in
+  let vs = Array.init calls (fun _ -> Rng.int rng n) in
+  let minor_words f =
+    let before = Gc.minor_words () in
+    f ();
+    let after = Gc.minor_words () in
+    (* the two [Gc.minor_words] results are boxed floats themselves *)
+    let overhead =
+      let a = Gc.minor_words () in
+      Gc.minor_words () -. a
+    in
+    after -. before -. overhead
+  in
+  let hop_words =
+    minor_words (fun () ->
+        for i = 0 to calls - 1 do
+          ignore (Sys.opaque_identity (Routing.hop_count r us.(i) vs.(i)))
+        done)
+  in
+  Alcotest.check (Alcotest.float 0.0) "hop_count allocates nothing" 0.0 hop_words;
+  let distance_words =
+    minor_words (fun () ->
+        for i = 0 to calls - 1 do
+          ignore (Sys.opaque_identity (Routing.distance r us.(i) vs.(i)))
+        done)
+  in
+  (* a boxed float is a header plus one word *)
+  checkb
+    (Printf.sprintf "distance boxes at most its result (%.0f words)" distance_words)
+    true
+    (distance_words <= float_of_int (2 * calls))
 
 (* --- Link_stress --- *)
 
@@ -510,6 +738,13 @@ let suite =
       test_graph_routed_update_link;
     Alcotest.test_case "routing: refresh after structural change" `Quick test_routing_refresh;
     Alcotest.test_case "routing: LRU cap of one" `Quick test_routing_lru_cap_one;
+    Alcotest.test_case "routing: create matches Dijkstra" `Quick test_create_matches_dijkstra;
+    Alcotest.test_case "routing: create derives the core" `Quick test_create_core;
+    Alcotest.test_case "routing: create incremental update" `Quick test_create_update_link;
+    Alcotest.test_case "routing: create refresh reclassifies" `Quick
+      test_create_refresh_reclassifies;
+    Alcotest.test_case "routing: create queries allocation-free" `Quick
+      test_create_queries_allocation_free;
     Alcotest.test_case "stress: accounting" `Quick test_stress_basic;
     Alcotest.test_case "stress: trivial paths" `Quick test_stress_trivial_paths;
     Alcotest.test_case "stress: clear" `Quick test_stress_clear;

@@ -69,6 +69,25 @@ let bechamel_tests () =
       ignore (P2p_sim.Event_queue.pop q : (float * unit) option)
     done
   in
+  (* Steady state at sim-lookup's queue depth (~20k resident): 10k
+     in-flight messages a hop apart and 10k lookup timers a minute out.
+     Each run pops the earliest event and schedules its successor of the
+     same kind, so the depth stays put and the heap does not fit in
+     cache, unlike the 1k churn above. *)
+  let resident_queue =
+    let q = P2p_sim.Event_queue.create () in
+    let qrng = Rng.create 11 in
+    for i = 0 to 19_999 do
+      let timer = i mod 2 = 1 in
+      let time = Rng.float qrng 100.0 +. if timer then 60_000.0 else 0.0 in
+      P2p_sim.Event_queue.add_fast q ~time timer
+    done;
+    let successor time timer =
+      let delay = if timer then 60_000.0 else 1.0 +. Rng.float qrng 100.0 in
+      P2p_sim.Event_queue.add_fast q ~time:(time +. delay) timer
+    in
+    fun () -> ignore (P2p_sim.Event_queue.pop_apply q successor : bool)
+  in
   let dijkstra_sssp () =
     (* fresh router so the cache does not absorb the work *)
     let r = P2p_topology.Routing.dijkstra graph_routing in
@@ -82,6 +101,7 @@ let bechamel_tests () =
     Test.make ~name:"hybrid-lookup (ps=0.5)" (Staged.stage lookup_once);
     Test.make ~name:"hybrid-insert (ps=0.5)" (Staged.stage insert_once);
     Test.make ~name:"event-queue-1k-churn" (Staged.stage event_queue_churn);
+    Test.make ~name:"event-queue-20k-resident" (Staged.stage resident_queue);
     Test.make ~name:"dijkstra-sssp-384" (Staged.stage dijkstra_sssp);
     Test.make ~name:"routing-create-384" (Staged.stage routing_create);
     Test.make ~name:"rng-int" (Staged.stage (fun () -> ignore (Rng.int rng 1000 : int)));

@@ -128,6 +128,7 @@ let insert w ~from ~key ~value ?route_id () ~on_done =
 type ctx = {
   requester : Peer.t;
   key : string;
+  mutable kid : int;  (* [key]'s id in the world's interner; [-1] until found *)
   op : int;  (* trace operation id minted at lookup initiation *)
   started : float;
   mutable finished : bool;
@@ -157,17 +158,31 @@ let finish_success ctx ~holder ~value ~hops =
     ctx.on_result (Found { holder; latency; hops })
   end
 
+(* The lookup key's interned id, resolved once per lookup instead of
+   hashing the string at every hop.  While no insert has interned the key
+   the probe is repeated at each hop (and interns nothing); interner ids
+   are append-only, so once found the id is final, and a key interned by
+   an insert that lands mid-walk is still found. *)
+let key_id ctx =
+  if ctx.kid < 0 then begin
+    match Intern.find ctx.w.World.interner ctx.key with
+    | Some kid -> ctx.kid <- kid
+    | None -> ()
+  end;
+  ctx.kid
+
 (* Check one peer's database (and soft cache); reply to the requester on
    a hit.  Returns whether this peer keeps forwarding the flood. *)
 let check_peer ctx peer ~hops =
   Metrics.record_contact ctx.w.World.metrics;
+  let interner = ctx.w.World.interner and kid = key_id ctx in
   let found =
-    match Data_store.find peer.Peer.store ~key:ctx.key with
+    match Data_store.find_id peer.Peer.store ~interner ~kid ~key:ctx.key with
     | Some _ as hit -> hit
     | None -> (
       (* replica fallback: a redundant copy serves the read when the
          primary is gone (empty unless replication is on) *)
-      match Data_store.find peer.Peer.replicas ~key:ctx.key with
+      match Data_store.find_id peer.Peer.replicas ~interner ~kid ~key:ctx.key with
       | Some _ as hit ->
         World.bump ctx.w ~subsystem:"replication" ~name:"replica_hits";
         World.mark_span ctx.w ~op:ctx.op ~tier:"replication" ~phase:"replica_hit"
@@ -303,6 +318,7 @@ let lookup w ~from ~key ?ttl ?route_id () ~on_result =
     {
       requester = from;
       key;
+      kid = -1;
       op;
       started = World.now w;
       finished = false;

@@ -38,6 +38,13 @@ val insert_routed : t -> route_id:Id_space.id -> key:string -> value:string -> u
 (** [find t ~key] is the stored value, if any. *)
 val find : t -> key:string -> string option
 
+(** [find_id t ~interner ~kid ~key] is [find t ~key] for a caller that
+    has already resolved [key] against [interner]: [kid] is its id there,
+    or [-1] when [interner] has never seen [key].  When [interner] is
+    [t]'s own interner the probe compares ints only — no string hashing;
+    a store with any other interner answers through [find t ~key]. *)
+val find_id : t -> interner:Intern.t -> kid:int -> key:string -> string option
+
 (** [remove t ~key] deletes the item if present. *)
 val remove : t -> key:string -> unit
 

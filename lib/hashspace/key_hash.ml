@@ -1,13 +1,14 @@
 let fnv_offset = 0xCBF29CE484222325L
 let fnv_prime = 0x100000001B3L
 
+(* Keep this a [for] loop over a local ref: the compiler then keeps [h]
+   unboxed.  Through [String.iter] the ref is captured by a closure and
+   every byte boxes a fresh Int64. *)
 let fnv1a64 s =
   let h = ref fnv_offset in
-  String.iter
-    (fun c ->
-      h := Int64.logxor !h (Int64.of_int (Char.code c));
-      h := Int64.mul !h fnv_prime)
-    s;
+  for i = 0 to String.length s - 1 do
+    h := Int64.mul (Int64.logxor !h (Int64.of_int (Char.code s.[i]))) fnv_prime
+  done;
   !h
 
 (* FNV-1a mixes similar short keys mostly in the low bits; run a

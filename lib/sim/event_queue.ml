@@ -4,20 +4,21 @@ type handle = {
   dead_count : int ref;  (* shared with the owning queue *)
 }
 
-(* Entries are mutable and recycled through a bounded pool; event times
-   live in a parallel [float array] so they stay unboxed (a mixed
-   float/pointer record would box the float on every insertion). *)
+(* Entries are mutable and recycled through a bounded pool.  The
+   ordering key lives outside them, in parallel unboxed arrays: [times]
+   (a mixed float/pointer record would box the float on every insertion)
+   and [seqs], so a sift compares without dereferencing any entry. *)
 type 'a entry = {
-  mutable seq : int;
   mutable value : 'a;
   mutable handle : handle;
 }
 
 type 'a t = {
   mutable heap : 'a entry array;
-  (* [heap]/[times] slots at index >= size are physical garbage kept only
-     to satisfy the array type. *)
+  (* [heap]/[times]/[seqs] slots at index >= size are physical garbage
+     kept only to satisfy the array type. *)
   mutable times : float array;
+  mutable seqs : int array;
   mutable size : int;
   tick : int ref;
   dead_in_heap : int ref;  (* cancelled entries still occupying slots *)
@@ -37,6 +38,7 @@ let create ?tick () =
   {
     heap = [||];
     times = [||];
+    seqs = [||];
     size = 0;
     tick;
     dead_in_heap;
@@ -45,18 +47,6 @@ let create ?tick () =
     pool_len = 0;
     pending = 0;
   }
-
-let before t i j =
-  t.times.(i) < t.times.(j)
-  || (t.times.(i) = t.times.(j) && t.heap.(i).seq < t.heap.(j).seq)
-
-let swap t i j =
-  let e = t.heap.(i) in
-  t.heap.(i) <- t.heap.(j);
-  t.heap.(j) <- e;
-  let x = t.times.(i) in
-  t.times.(i) <- t.times.(j);
-  t.times.(j) <- x
 
 let grow t entry =
   let cap = Array.length t.heap in
@@ -67,27 +57,76 @@ let grow t entry =
     t.heap <- heap;
     let times = Array.make new_cap 0.0 in
     Array.blit t.times 0 times 0 t.size;
-    t.times <- times
+    t.times <- times;
+    let seqs = Array.make new_cap 0 in
+    Array.blit t.seqs 0 seqs 0 t.size;
+    t.seqs <- seqs
   end
 
-let rec sift_up t i =
-  if i > 0 then begin
-    let parent = (i - 1) / 2 in
-    if before t i parent then begin
-      swap t i parent;
-      sift_up t parent
+(* A 4-ary heap: the children of slot [i] are [4i+1 .. 4i+4].  It is half
+   as deep as a binary heap and the four sibling keys sit side by side in
+   [times]/[seqs], so a removal touches fewer cache lines.  Both sifts
+   carry the moving entry in a hole and write it once at the end instead
+   of swapping at every level. *)
+
+let sift_up t i =
+  let heap = t.heap and times = t.times and seqs = t.seqs in
+  let e = heap.(i) and time = times.(i) and seq = seqs.(i) in
+  let i = ref i and moving = ref true in
+  while !moving && !i > 0 do
+    let p = (!i - 1) lsr 2 in
+    let pt = times.(p) in
+    if time < pt || (time = pt && seq < seqs.(p)) then begin
+      heap.(!i) <- heap.(p);
+      times.(!i) <- pt;
+      seqs.(!i) <- seqs.(p);
+      i := p
     end
-  end
+    else moving := false
+  done;
+  heap.(!i) <- e;
+  times.(!i) <- time;
+  seqs.(!i) <- seq
 
-let rec sift_down t i =
-  let l = (2 * i) + 1 and r = (2 * i) + 2 in
-  let smallest = ref i in
-  if l < t.size && before t l !smallest then smallest := l;
-  if r < t.size && before t r !smallest then smallest := r;
-  if !smallest <> i then begin
-    swap t i !smallest;
-    sift_down t !smallest
-  end
+let sift_down t i =
+  let heap = t.heap and times = t.times and seqs = t.seqs and size = t.size in
+  let e = heap.(i) and time = times.(i) and seq = seqs.(i) in
+  let i = ref i and moving = ref true in
+  while !moving do
+    let first = (4 * !i) + 1 in
+    if first >= size then moving := false
+    else begin
+      (* the smallest of the (up to four) children; [Stdlib.min] would
+         compare polymorphically, through a C call *)
+      let last = if first + 3 < size then first + 3 else size - 1 in
+      let m = ref first in
+      let mt = ref times.(first) and ms = ref seqs.(first) in
+      for c = first + 1 to last do
+        let ct = times.(c) in
+        if ct < !mt || (ct = !mt && seqs.(c) < !ms) then begin
+          m := c;
+          mt := ct;
+          ms := seqs.(c)
+        end
+      done;
+      if !mt < time || (!mt = time && !ms < seq) then begin
+        heap.(!i) <- heap.(!m);
+        times.(!i) <- !mt;
+        seqs.(!i) <- !ms;
+        i := !m
+      end
+      else moving := false
+    end
+  done;
+  heap.(!i) <- e;
+  times.(!i) <- time;
+  seqs.(!i) <- seq
+
+(* Bottom-up heapify: sift down every slot that has a child. *)
+let heapify t =
+  for i = (t.size - 2) asr 2 downto 0 do
+    sift_down t i
+  done
 
 let recycle t e =
   e.handle <- t.immortal;  (* never retain a cancellable handle *)
@@ -103,17 +142,14 @@ let recycle t e =
   end
 
 let take_entry t ~value ~handle =
-  let seq = !(t.tick) in
-  t.tick := seq + 1;
   if t.pool_len > 0 then begin
     t.pool_len <- t.pool_len - 1;
     let e = t.pool.(t.pool_len) in
-    e.seq <- seq;
     e.value <- value;
     e.handle <- handle;
     e
   end
-  else { seq; value; handle }
+  else { value; handle }
 
 (* Squeeze every cancelled entry out in one pass and re-heapify.  Lazy
    cancellation only frees dead events when they surface at the root, so
@@ -131,15 +167,14 @@ let compact t =
     else begin
       t.heap.(!live) <- e;
       t.times.(!live) <- t.times.(i);
+      t.seqs.(!live) <- t.seqs.(i);
       incr live
     end
   done;
   t.size <- !live;
   t.dead_in_heap := 0;
   t.pending <- 0;
-  for i = (t.size / 2) - 1 downto 0 do
-    sift_down t i
-  done
+  heapify t
 
 let maybe_compact t = if t.size >= 16 && 2 * !(t.dead_in_heap) > t.size then compact t
 
@@ -150,10 +185,7 @@ let flush_batch t =
     (* Large batch relative to the heap: one bottom-up heapify is O(size)
        and beats k * O(log size) sifts.  Small batch: sift each appended
        element up in append order, which is exactly the deferred inserts. *)
-    if k * 4 >= t.size then
-      for i = (t.size / 2) - 1 downto 0 do
-        sift_down t i
-      done
+    if k * 4 >= t.size then heapify t
     else
       for i = t.size - k to t.size - 1 do
         sift_up t i
@@ -164,10 +196,14 @@ let flush_batch t =
 (* Every operation that reads the root must see a valid heap. *)
 let ensure t = if t.pending > 0 then flush_batch t
 
+(* Stamp [entry] with the next sequence number and append it. *)
 let append t ~time entry =
   grow t entry;
+  let seq = !(t.tick) in
+  t.tick := seq + 1;
   t.heap.(t.size) <- entry;
   t.times.(t.size) <- time;
+  t.seqs.(t.size) <- seq;
   t.size <- t.size + 1
 
 let add t ~time value =
@@ -211,10 +247,12 @@ let remove_top t =
   let h = e.handle in
   h.queued <- false;
   if h.dead then decr t.dead_in_heap;
-  t.size <- t.size - 1;
-  if t.size > 0 then begin
-    t.heap.(0) <- t.heap.(t.size);
-    t.times.(0) <- t.times.(t.size);
+  let last = t.size - 1 in
+  t.size <- last;
+  if last > 0 then begin
+    t.heap.(0) <- t.heap.(last);
+    t.times.(0) <- t.times.(last);
+    t.seqs.(0) <- t.seqs.(last);
     sift_down t 0
   end;
   recycle t e
@@ -263,12 +301,12 @@ let peek_key t =
   ensure t;
   drop_dead t;
   if t.size = 0 then None
-  else Some (t.times.(0), t.heap.(0).seq)
+  else Some (t.times.(0), t.seqs.(0))
 
 let peek_seq t =
   ensure t;
   drop_dead t;
-  if t.size = 0 then max_int else t.heap.(0).seq
+  if t.size = 0 then max_int else t.seqs.(0)
 
 let is_empty t =
   ensure t;

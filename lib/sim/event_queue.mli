@@ -1,6 +1,6 @@
 (** Priority queue of timestamped events.
 
-    A binary min-heap ordered by [(time, sequence)].  The sequence number is
+    A 4-ary min-heap ordered by [(time, sequence)].  The sequence number is
     a monotonically increasing tie-breaker so that two events scheduled for
     the same instant fire in scheduling order — this keeps simulations
     deterministic.  Cancellation is lazy: a cancelled event stays in the heap
@@ -10,7 +10,9 @@
     heap slots indefinitely.
 
     The hot insertion/removal path is allocation-conscious: event times
-    live in a parallel unboxed float array, popped entries are recycled
+    and sequence numbers live in parallel unboxed arrays (a sift compares
+    keys without dereferencing an entry, and moves the sifted entry
+    through a hole rather than swapping), popped entries are recycled
     through a bounded pool (at most 1024 stale ['a] references are
     retained per queue), {!add_fast} skips the per-event handle, and the
     [batch_*] operations defer heap sifting so a fan-out of [k] inserts

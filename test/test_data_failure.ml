@@ -3,6 +3,7 @@
 open Helpers
 module Metrics = P2p_net.Metrics
 module Data_store = Hybrid_p2p.Data_store
+module Intern = Hybrid_p2p.Intern
 module Id_space = P2p_hashspace.Id_space
 
 let checkb = Alcotest.check Alcotest.bool
@@ -82,6 +83,31 @@ let test_store_take_all () =
   let all = Data_store.take_all s in
   checki "two items" 2 (List.length all);
   checki "empty after" 0 (Data_store.size s)
+
+let test_store_find_id () =
+  let s = Data_store.create () in
+  let own = Data_store.interner s in
+  checkb "empty store (no arrays)" true
+    (Data_store.find_id s ~interner:own ~kid:0 ~key:"a" = None);
+  Data_store.insert s ~key:"a" ~value:"1";
+  Data_store.insert s ~key:"b" ~value:"2";
+  let some = Alcotest.(check (option string)) in
+  some "own interner: by id" (Some "2")
+    (Data_store.find_id s ~interner:own ~kid:(Option.get (Intern.find own "b")) ~key:"b");
+  some "own interner: uninterned key" None
+    (Data_store.find_id s ~interner:own ~kid:(-1) ~key:"zzz");
+  (* a foreign interner's ids mean nothing here: "b" is id 0 there and
+     "a" is id 0 here, so the store must answer through the string *)
+  let foreign = Intern.create () in
+  let kid = Intern.intern foreign "b" in
+  some "foreign interner: colliding id" (Some "2")
+    (Data_store.find_id s ~interner:foreign ~kid ~key:"b");
+  some "foreign interner: key it never saw" (Some "1")
+    (Data_store.find_id s ~interner:foreign ~kid:(-1) ~key:"a");
+  Data_store.remove s ~key:"b";
+  some "removed" None (Data_store.find_id s ~interner:own ~kid:1 ~key:"b");
+  Data_store.clear s;
+  some "cleared" None (Data_store.find_id s ~interner:own ~kid:0 ~key:"a")
 
 (* --- Data_ops --- *)
 
@@ -176,6 +202,36 @@ let test_lookup_latency_metrics_only_successes () =
   checki "one failure" 1 (Metrics.lookups_failed m);
   checki "latency samples = successes" 1
     (P2p_stats.Summary.count (Metrics.lookup_latency m))
+
+let test_lookup_finds_key_interned_mid_walk () =
+  (* The lookup resolves its key's interned id lazily: issued before any
+     insert interned the key, it must keep probing and find the item an
+     insert stores while the walk is still on its way. *)
+  let h, _ = star_system ~seed:53 ~n:50 ~ps:0.0 () in
+  ignore (insert_items h ~count:20 : string list);
+  let w = H.world h in
+  let key = "late-key" in
+  let owner = Option.get (World.oracle_owner w (P2p_hashspace.Key_hash.of_string key)) in
+  let from = List.find (fun p -> p != owner) (H.peers h) in
+  let result = ref None in
+  H.lookup h ~from ~key ~on_result:(fun r -> result := Some r) ();
+  checkb "key not interned at issue" true (Intern.find (World.interner w) key = None);
+  H.insert h ~from:owner ~key ~value:"v" ();
+  checkb "stored before the walk moved" true (Data_store.mem owner.Peer.store ~key);
+  H.run h;
+  match !result with
+  | Some (Data_ops.Found { holder; _ }) -> checkb "found at the owner" true (holder == owner)
+  | Some Data_ops.Timed_out -> Alcotest.fail "lookup missed an item interned mid-walk"
+  | None -> Alcotest.fail "lookup callback never fired"
+
+let test_lookup_absent_key_interns_nothing () =
+  let h, _ = star_system ~seed:54 ~n:40 ~ps:0.5 () in
+  ignore (insert_items h ~count:10 : string list);
+  let interner = World.interner (H.world h) in
+  let before = Intern.count interner in
+  let r = lookup_sync h ~from:(H.random_peer h) ~key:"never-inserted" () in
+  checkb "not found" false (found r);
+  checki "interner unchanged" before (Intern.count interner)
 
 (* --- Failure --- *)
 
@@ -310,6 +366,8 @@ let suite =
     Alcotest.test_case "data_store: segment view/digest across wrap" `Quick
       test_store_segment_items_wraparound;
     Alcotest.test_case "data_store: take_all" `Quick test_store_take_all;
+    Alcotest.test_case "data_store: find_id, own and foreign interner" `Quick
+      test_store_find_id;
     Alcotest.test_case "insert: local stays home" `Quick test_insert_local_stays_home;
     Alcotest.test_case "insert: remote lands in owner segment" `Quick
       test_insert_remote_lands_in_owner_segment;
@@ -318,6 +376,10 @@ let suite =
       test_connum_counts_ring_contacts;
     Alcotest.test_case "lookup: latency only on success" `Quick
       test_lookup_latency_metrics_only_successes;
+    Alcotest.test_case "lookup: finds a key interned mid-walk" `Quick
+      test_lookup_finds_key_interned_mid_walk;
+    Alcotest.test_case "lookup: absent key interns nothing" `Quick
+      test_lookup_absent_key_interns_nothing;
     Alcotest.test_case "failure: double crash rejected" `Quick test_crash_dead_peer_rejected;
     Alcotest.test_case "failure: repair recounts sizes" `Quick test_repair_counts_sizes;
     Alcotest.test_case "failure: smallest host promoted" `Quick

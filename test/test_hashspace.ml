@@ -108,6 +108,48 @@ let test_hash_known_fnv () =
   Alcotest.check Alcotest.int64 "empty string" 0xCBF29CE484222325L (Key_hash.fnv1a64 "");
   Alcotest.check Alcotest.int64 "'a'" 0xAF63DC4C8601EC8CL (Key_hash.fnv1a64 "a")
 
+(* [of_string]/[of_address] ids pinned from the original [String.iter]
+   fold: every placement, figure and golden file depends on them. *)
+let test_hash_pinned () =
+  List.iter
+    (fun (key, id) -> checki (Printf.sprintf "of_string %S" key) id (Key_hash.of_string key))
+    [
+      ("", 1025359677);
+      ("a", 51828229);
+      ("key-0", 2597559);
+      ("key-42", 687837333);
+      ("hello world", 93548565);
+      ("\255\000\128", 238413874);
+      (String.make 100 'x', 1019736860);
+    ];
+  checki "of_address 127.0.0.1:9000" 783393576
+    (Key_hash.of_address ~ip:"127.0.0.1" ~port:9000);
+  checki "of_address 10.0.0.7:4242" 213457829 (Key_hash.of_address ~ip:"10.0.0.7" ~port:4242)
+
+(* The reference fold [fnv1a64] replaced, kept verbatim as the oracle. *)
+let reference_fnv1a64 s =
+  let h = ref 0xCBF29CE484222325L in
+  String.iter
+    (fun c ->
+      h := Int64.logxor !h (Int64.of_int (Char.code c));
+      h := Int64.mul !h 0x100000001B3L)
+    s;
+  !h
+
+let prop_fnv_matches_reference =
+  QCheck.Test.make ~name:"fnv1a64 equals the String.iter reference fold" ~count:2000
+    QCheck.(string_gen Gen.char)
+    (fun s -> Int64.equal (Key_hash.fnv1a64 s) (reference_fnv1a64 s))
+
+let test_hash_allocation_free () =
+  let keys = Array.init 64 (fun i -> Printf.sprintf "item-%05d" i) in
+  ignore (Key_hash.of_string keys.(0) : int);
+  let before = Gc.minor_words () in
+  Array.iter (fun k -> ignore (Sys.opaque_identity (Key_hash.of_string k) : int)) keys;
+  let per_key = (Gc.minor_words () -. before) /. 64.0 in
+  (* the boxed per-byte fold cost > 100 words for these 10-byte keys *)
+  checkb (Printf.sprintf "%.1f minor words per key" per_key) true (per_key < 20.0)
+
 let test_hash_of_address () =
   checkb "address includes port" true
     (Key_hash.of_address ~ip:"10.0.0.1" ~port:80
@@ -129,4 +171,8 @@ let suite =
     Alcotest.test_case "hash dispersion" `Quick test_hash_dispersion;
     Alcotest.test_case "hash FNV reference values" `Quick test_hash_known_fnv;
     Alcotest.test_case "hash of address" `Quick test_hash_of_address;
+    Alcotest.test_case "hash ids pinned" `Quick test_hash_pinned;
+    Alcotest.test_case "hash allocation-free" `Quick test_hash_allocation_free;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |])
+      prop_fnv_matches_reference;
   ]

@@ -198,6 +198,179 @@ let test_queue_pool_reuse () =
     checkb "drained" true (Event_queue.is_empty q)
   done
 
+(* --- model-based check against a sorted list --- *)
+
+type queue_op =
+  | Add of int * bool  (* time, fast (no handle) *)
+  | Batch of int * bool
+  | Flush
+  | Cancel of int  (* index into the handles issued so far *)
+  | Cancel_recent of int  (* the n most recent handles: a burst of timer resets *)
+  | Pop
+  | Peek
+
+let show_queue_op = function
+  | Add (t, f) -> Printf.sprintf "add%s %d" (if f then "_fast" else "") t
+  | Batch (t, f) -> Printf.sprintf "batch_add%s %d" (if f then "_fast" else "") t
+  | Flush -> "flush"
+  | Cancel i -> Printf.sprintf "cancel #%d" i
+  | Cancel_recent n -> Printf.sprintf "cancel last %d" n
+  | Pop -> "pop"
+  | Peek -> "peek"
+
+(* Times come from a domain of 8 values, so most pops break a tie. *)
+let queue_op_gen =
+  let open QCheck.Gen in
+  let time = int_bound 7 in
+  frequency
+    [
+      (4, map2 (fun t f -> Add (t, f)) time bool);
+      (4, map2 (fun t f -> Batch (t, f)) time bool);
+      (1, return Flush);
+      (4, map (fun i -> Cancel i) (int_bound 1000));
+      (1, map (fun n -> Cancel_recent n) (int_range 1 32));
+      (3, return Pop);
+      (1, return Peek);
+    ]
+
+(* How often a run exercised each restructuring path; checked by
+   [test_queue_model_coverage]. *)
+let heapify_flushes = ref 0
+let sift_up_flushes = ref 0
+let compactions = ref 0
+
+(* Replay [ops] on a queue and on a model (entries with their insertion
+   index and a dead flag; pops take the least (time, index) live entry),
+   and check every pop, peek and length agrees. *)
+let run_queue_model ops =
+  let q = Event_queue.create () in
+  let model = ref [] (* (time, index, dead flag) *) in
+  let handles = ref [||] in
+  let inserted = ref 0 and pending = ref 0 in
+  let live () = List.filter (fun (_, _, dead) -> not !dead) !model in
+  let least () =
+    List.fold_left
+      (fun acc ((t, i, _) as e) ->
+        match acc with
+        | Some (bt, bi, _) when (bt, bi) <= (t, i) -> acc
+        | _ -> Some e)
+      None (live ())
+  in
+  (* reading operations and plain adds flush a pending batch first *)
+  let note_flush () =
+    if !pending > 0 then begin
+      if !pending * 4 >= Event_queue.length q then incr heapify_flushes
+      else incr sift_up_flushes;
+      pending := 0
+    end
+  in
+  let insert time add =
+    let dead = ref false in
+    model := (time, !inserted, dead) :: !model;
+    (match add !inserted with
+     | Some h -> handles := Array.append !handles [| (h, dead) |]
+     | None -> ());
+    incr inserted
+  in
+  let step op =
+    let before = Event_queue.length q in
+    match op with
+    | Add (t, fast) ->
+      note_flush ();
+      let time = float_of_int t in
+      insert t (fun v ->
+          if fast then (Event_queue.add_fast q ~time v; None)
+          else Some (Event_queue.add q ~time v));
+      if Event_queue.length q <= before then incr compactions;
+      true
+    | Batch (t, fast) ->
+      let time = float_of_int t in
+      insert t (fun v ->
+          if fast then (Event_queue.batch_add_fast q ~time v; None)
+          else Some (Event_queue.batch_add q ~time v));
+      incr pending;
+      true
+    | Flush ->
+      note_flush ();
+      Event_queue.flush_batch q;
+      if Event_queue.length q < before then incr compactions;
+      true
+    | Cancel i ->
+      let n = Array.length !handles in
+      if n > 0 then begin
+        let h, dead = !handles.(i mod n) in
+        Event_queue.cancel h;
+        dead := true
+      end;
+      true
+    | Cancel_recent k ->
+      let n = Array.length !handles in
+      for j = max 0 (n - k) to n - 1 do
+        let h, dead = !handles.(j) in
+        Event_queue.cancel h;
+        dead := true
+      done;
+      true
+    | Pop -> (
+      note_flush ();
+      let got = ref None in
+      let popped = Event_queue.pop_apply q (fun time v -> got := Some (time, v)) in
+      match (least (), !got) with
+      | None, None -> not popped
+      | Some (t, i, dead), Some (time, v) ->
+        dead := true;
+        popped && float_of_int t = time && i = v
+      | _ -> false)
+    | Peek -> (
+      note_flush ();
+      match (least (), Event_queue.peek_key q) with
+      | None, None -> Event_queue.peek_seq q = max_int
+      | Some (t, i, _), Some (time, seq) ->
+        (* a fresh queue numbers its insertions 0, 1, 2, ... *)
+        float_of_int t = time && i = seq && Event_queue.peek_seq q = seq
+      | _ -> false)
+  in
+  List.for_all
+    (fun op -> step op && Event_queue.live_length q = List.length (live ()))
+    ops
+  && begin
+    (* drain: what is left pops in model order *)
+    let rec drain () =
+      let expected = least () in
+      let got = Event_queue.pop q in
+      match (expected, got) with
+      | None, None -> true
+      | Some (t, i, dead), Some (time, v) ->
+        dead := true;
+        float_of_int t = time && i = v && drain ()
+      | _ -> false
+    in
+    drain ()
+  end
+
+let queue_ops_arb =
+  QCheck.make
+    ~print:(fun ops -> String.concat "; " (List.map show_queue_op ops))
+    QCheck.Gen.(list_size (int_range 0 300) queue_op_gen)
+
+let prop_queue_model =
+  QCheck.Test.make ~name:"queue: random ops pop in (time, insertion) order" ~count:300
+    queue_ops_arb run_queue_model
+
+let test_queue_model_coverage () =
+  (* the model run above must reach both [flush_batch] branches and
+     compaction; a generator that stopped doing so would test less *)
+  heapify_flushes := 0;
+  sift_up_flushes := 0;
+  compactions := 0;
+  let rand = Random.State.make [| 14 |] in
+  List.iter
+    (fun ops -> checkb "model agrees" true (run_queue_model ops))
+    (QCheck.Gen.generate ~rand ~n:100 (QCheck.gen queue_ops_arb));
+  checkb (Printf.sprintf "heapify flushes %d" !heapify_flushes) true (!heapify_flushes > 0);
+  checkb (Printf.sprintf "sift-up flushes %d" !sift_up_flushes) true (!sift_up_flushes > 0);
+  checkb (Printf.sprintf "compactions %d" !compactions) true (!compactions > 0)
+
 (* --- Engine --- *)
 
 let test_engine_clock () =
@@ -439,6 +612,9 @@ let suite =
     Alcotest.test_case "queue: add_fast ordering" `Quick test_queue_add_fast;
     Alcotest.test_case "queue: pop_apply" `Quick test_queue_pop_apply;
     Alcotest.test_case "queue: entry pool reuse" `Quick test_queue_pool_reuse;
+    QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |]) prop_queue_model;
+    Alcotest.test_case "queue: model reaches both flushes and compaction" `Quick
+      test_queue_model_coverage;
     Alcotest.test_case "engine: clock and ordering" `Quick test_engine_clock;
     Alcotest.test_case "engine: negative delay rejected" `Quick test_engine_negative_delay;
     Alcotest.test_case "engine: schedule_at past rejected" `Quick test_engine_schedule_at_past;

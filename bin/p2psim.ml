@@ -122,25 +122,6 @@ let cache_ttl_arg =
     & info [ "cache-ttl" ] ~docv:"MS"
         ~doc:"Lifetime of cached lookup results, in simulated milliseconds.")
 
-let lanes_arg =
-  Arg.(
-    value & opt int 1
-    & info [ "lanes" ] ~docv:"N"
-        ~doc:
-          "Number of engine event lanes (ring-segment partitions of the event \
-           queue).  With the default zero lookahead the executed event order is \
-           identical for every lane count.")
-
-let lookahead_arg =
-  Arg.(
-    value & opt float 0.0
-    & info [ "lookahead" ] ~docv:"MS"
-        ~doc:
-          "Conservative-lookahead window in simulated milliseconds: lets one \
-           lane run batched up to $(docv) past the other lanes' heads.  Safe \
-           while at most the minimum cross-lane message latency; 0 keeps the \
-           exact single-queue order.")
-
 let replication_arg =
   Arg.(
     value & opt int 0
@@ -298,24 +279,12 @@ let finish_audit a =
        snap.Checks.statuses);
   if Auditor.errors_total a > 0 then Some 1 else None
 
-(* Snapshot engine counters (whole-engine plus per-lane occupancy when
-   sharded) into the registry so exported metrics carry them alongside
-   the protocol subsystems. *)
+(* Snapshot engine counters into the registry so exported metrics carry
+   them alongside the protocol subsystems. *)
 let snapshot_engine_stats h =
   let reg = Metrics.registry (H.metrics h) in
   Engine_stats.record reg (H.engine h);
   reg
-
-(* Lane attribution for chrome exports: a peer's spans execute on the
-   lane serving its ring-segment shard. *)
-let lane_of_host h =
-  let engine = H.engine h in
-  let lanes = Engine.lanes engine in
-  if lanes <= 1 then None
-  else
-    Some
-      (fun host ->
-        Option.map (fun s -> s mod lanes) (World.shard_of_host (H.world h) ~host))
 
 let export_observability h ?(trace_format = `Jsonl) ~trace_out ~metrics_out
     ~metrics_csv ~profile () =
@@ -334,7 +303,7 @@ let export_observability h ?(trace_format = `Jsonl) ~trace_out ~metrics_out
           (Trace.ops_started (H.trace h))
           path
       | `Chrome ->
-        Export.write_chrome_trace ~path ?lane_of:(lane_of_host h) (H.trace h);
+        Export.write_chrome_trace ~path (H.trace h);
         Printf.printf "trace: %d spans (%d ops) -> %s (chrome trace-event)\n"
           (Trace.spans_started (H.trace h))
           (Trace.ops_started (H.trace h))
@@ -407,10 +376,9 @@ let print_metrics h =
 
 let run_cmd =
   let run seed ps n items lookups ttl delta placement bloom_bits bloom_depth
-      cache_capacity cache_ttl lanes lookahead replication anti_entropy
-      trace_out trace_cap trace_sample trace_format timeline_out
-      timeline_interval slos metrics_out metrics_csv profile audit_interval
-      dump_on_exit dump_dir =
+      cache_capacity cache_ttl replication anti_entropy trace_out trace_cap
+      trace_sample trace_format timeline_out timeline_interval slos metrics_out
+      metrics_csv profile audit_interval dump_on_exit dump_dir =
     let config =
       {
         Config.default with
@@ -421,8 +389,6 @@ let run_cmd =
         bloom_depth;
         cache_capacity;
         cache_lifetime = cache_ttl;
-        engine_lanes = lanes;
-        engine_lookahead = lookahead;
         replication_factor = replication;
       }
     in
@@ -592,8 +558,8 @@ let run_cmd =
         | Some reason ->
           (try
              let files =
-               Flight_recorder.dump fr ?trace
-                 ?lane_of:(lane_of_host h) ~registry:reg ~dir:dump_dir ~reason ()
+               Flight_recorder.dump fr ?trace ~registry:reg ~dir:dump_dir
+                 ~reason ()
              in
              List.iter (fun f -> Printf.printf "flight dump -> %s\n" f) files
            with Sys_error e ->
@@ -610,8 +576,7 @@ let run_cmd =
     Term.(
       const run $ seed_arg $ ps_arg $ peers_arg $ items_arg $ lookups_arg $ ttl_arg
       $ delta_arg $ scheme_arg $ bloom_bits_arg $ bloom_depth_arg $ cache_arg
-      $ cache_ttl_arg $ lanes_arg $ lookahead_arg $ replication_arg
-      $ anti_entropy_arg $ trace_out_arg
+      $ cache_ttl_arg $ replication_arg $ anti_entropy_arg $ trace_out_arg
       $ trace_cap_arg $ trace_sample_arg $ trace_format_arg $ timeline_out_arg
       $ timeline_interval_arg $ slo_arg $ metrics_out_arg $ metrics_csv_arg
       $ profile_arg $ audit_interval_arg $ dump_on_exit_arg $ dump_dir_arg)
@@ -786,7 +751,7 @@ let parse_script text =
   |> Result.map List.rev
 
 let scenario_cmd =
-  let run seed n script_text lanes lookahead replication assert_no_loss
+  let run seed n script_text replication assert_no_loss
       audit_interval trace_out trace_cap trace_sample trace_format metrics_out =
     match parse_script script_text with
     | Error token ->
@@ -811,12 +776,7 @@ let scenario_cmd =
         | None -> None
       in
       let config =
-        {
-          Config.default with
-          Config.replication_factor = replication;
-          engine_lanes = lanes;
-          engine_lookahead = lookahead;
-        }
+        { Config.default with Config.replication_factor = replication }
       in
       (match Config.validate config with
        | Ok () -> ()
@@ -843,7 +803,7 @@ let scenario_cmd =
                  (Trace.ops_started (H.trace h))
                  path
              | `Chrome ->
-               Export.write_chrome_trace ~path ?lane_of:(lane_of_host h) (H.trace h);
+               Export.write_chrome_trace ~path (H.trace h);
                Printf.printf "trace: %d spans (%d ops) -> %s (chrome trace-event)\n"
                  (Trace.spans_started (H.trace h))
                  (Trace.ops_started (H.trace h))
@@ -894,9 +854,9 @@ let scenario_cmd =
   in
   let term =
     Term.(
-      const run $ seed_arg $ peers_arg $ script_arg $ lanes_arg $ lookahead_arg
-      $ replication_arg $ assert_no_loss_arg $ audit_interval_arg $ trace_out_arg
-      $ trace_cap_arg $ trace_sample_arg $ trace_format_arg $ metrics_out_arg)
+      const run $ seed_arg $ peers_arg $ script_arg $ replication_arg
+      $ assert_no_loss_arg $ audit_interval_arg $ trace_out_arg $ trace_cap_arg
+      $ trace_sample_arg $ trace_format_arg $ metrics_out_arg)
   in
   Cmd.v
     (Cmd.info "scenario" ~doc:"Run a declarative churn/workload script and report.")

@@ -31,8 +31,6 @@ type t = {
   replica_placement : replica_placement;
   anti_entropy_interval : float;
   successor_list_length : int;
-  engine_lanes : int;
-  engine_lookahead : float;
   batch_sends : bool;
   trace_sample_rate : float;
   trace_sample_seed : int;
@@ -66,8 +64,6 @@ let default =
     replica_placement = Ring_successors;
     anti_entropy_interval = 5_000.0;
     successor_list_length = 8;
-    engine_lanes = 1;
-    engine_lookahead = 0.0;
     batch_sends = true;
     trace_sample_rate = 0.01;
     trace_sample_seed = 0;
@@ -96,8 +92,6 @@ let validate t =
     Error "anti_entropy_interval must be positive"
   else if t.successor_list_length < 1 then
     Error "successor_list_length must be >= 1"
-  else if t.engine_lanes < 1 then Error "engine_lanes must be >= 1"
-  else if t.engine_lookahead < 0.0 then Error "engine_lookahead must be >= 0"
   else if t.trace_sample_rate < 0.0 || t.trace_sample_rate > 1.0 then
     Error "trace_sample_rate must be within [0, 1]"
   else

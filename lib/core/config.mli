@@ -106,17 +106,6 @@ type t = {
           repair (also the Chord baseline's list length; >= 1).
           Replication across [Ring_successors] is capped independently
           by [replication_factor]. *)
-  engine_lanes : int;
-      (** number of event lanes the simulation engine partitions its
-          queue into (>= 1; default 1 = single queue).  Lanes map ring
-          segments to independent event heaps; with [engine_lookahead =
-          0.] the executed order is identical to a single queue for
-          every lane count (see {!P2p_sim.Engine}). *)
-  engine_lookahead : float;
-      (** conservative-lookahead window in ms (>= 0; default 0 = exact
-          merge).  Positive values let a lane run batched up to this far
-          past the other lanes' heads; safe when at most the minimum
-          cross-lane message latency. *)
   batch_sends : bool;
       (** batch the event-heap insertions of multi-recipient fan-outs
           (tree floods, replication pushes) into one restructuring pass

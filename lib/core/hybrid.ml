@@ -19,10 +19,7 @@ type join_outcome = { peer : Peer.t; hops : int; latency : float }
 let create ~seed ~routing ?(config = Config.default) ?snet_policy ?(s_fraction = 0.5)
     ?(processing_delay = 0.1) ?stress ?trace () =
   if s_fraction < 0.0 || s_fraction > 1.0 then invalid_arg "Hybrid.create: s_fraction";
-  let engine =
-    Engine.create ~seed ~lanes:config.Config.engine_lanes
-      ~lookahead:config.Config.engine_lookahead ()
-  in
+  let engine = Engine.create ~seed () in
   let metrics = Metrics.create () in
   (* Exact latency path: every op completion — sampled or not — feeds
      latency/<kind>_total_ms directly, so percentiles and SLO gates stay

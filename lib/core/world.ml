@@ -86,18 +86,8 @@ let trace t = Underlay.trace t.underlay
 
 let interner t = t.interner
 
-(* Ring-segment sharding: the id space splits into 64 equal arcs and a
-   message's shard is the arc of its destination's p_id, so each engine
-   lane serves a contiguous ring segment.  Cross-segment traffic (finger
-   hops) crosses lanes; segment-local traffic (successor walks, tree
-   floods, stabilization) stays lane-local. *)
-let shard_shift = Id_space.bits - 6
-
-let shard_of (p : Peer.t) = p.Peer.p_id lsr shard_shift
-
 let send t ?op ~src ~dst f =
-  Transport.send t.transport ?op ~shard:(shard_of dst) ~src:src.Peer.host
-    ~dst:dst.Peer.host f
+  Transport.send t.transport ?op ~src:src.Peer.host ~dst:dst.Peer.host f
 
 (* Fan-out seam: run [f]'s sends with the transport's insertion batching
    (one event-heap restructuring pass for the whole fan-out) unless the
@@ -128,8 +118,8 @@ let send_span t ?op ~tier ~phase ~src ~dst f =
       Trace.begin_span tr ~time:(now t) ~op:op_id ~tier ~phase
         ~src:src.Peer.host ~dst:dst.Peer.host phase
     in
-    Transport.send t.transport ~op:op_id ~shard:(shard_of dst)
-      ~src:src.Peer.host ~dst:dst.Peer.host
+    Transport.send t.transport ~op:op_id ~src:src.Peer.host
+      ~dst:dst.Peer.host
       (fun () ->
         Fun.protect
           ~finally:(fun () -> Trace.end_span tr ~time:(now t) span)
@@ -202,11 +192,6 @@ let unregister t peer =
 
 let find_peer t ~host =
   if host < 0 || host >= Array.length t.slots then None else t.slots.(host)
-
-let shard_of_host t ~host =
-  match find_peer t ~host with
-  | Some p -> Some (shard_of p)
-  | None -> None
 
 let peer_count t = t.live_count
 

@@ -111,8 +111,8 @@ val send : t -> ?op:int -> src:Peer.t -> dst:Peer.t -> (unit -> unit) -> unit
 
 (** [batch t f] runs [f] (a multi-recipient fan-out issuing several
     {!send}/{!send_span} calls) under the transport's insertion batching:
-    the sim backend defers event-heap sifting to one pass per touched
-    lane.  Delivery order is bit-identical with and without batching;
+    the sim backend defers event-heap sifting to one pass.  Delivery
+    order is bit-identical with and without batching;
     [Config.batch_sends = false] turns it into a plain call for A/B
     measurement. *)
 val batch : t -> (unit -> unit) -> unit
@@ -171,12 +171,6 @@ val register : t -> Peer.t -> unit
 
 val unregister : t -> Peer.t -> unit
 val find_peer : t -> host:int -> Peer.t option
-
-(** [shard_of_host t ~host] — the ring-segment shard of the live peer on
-    [host] ([None] for unknown/crashed hosts).  An event's engine lane is
-    [shard mod Engine.lanes]; exporters use this to attribute a peer's
-    spans to the lane that executed them. *)
-val shard_of_host : t -> host:int -> int option
 
 val peer_count : t -> int
 

@@ -1,12 +1,5 @@
-(* Engine occupancy folded into the registry.
-
-   "engine/*" carries the whole-engine figures every run already
-   exported; "lanes/*" (only when the engine is sharded) carries the
-   per-lane view: where events execute, how deep each lane's heap gets,
-   and how often a lookahead batch stalls on another lane's frontier.
-   The imbalance gauge is max/mean of per-lane executed events — 1.0 is
-   a perfectly balanced engine, lanes sitting idle push it toward the
-   lane count. *)
+(* Engine occupancy folded into the registry: the whole-engine figures
+   under "engine/*", plus the process-wide late-cancel count. *)
 
 module Engine = P2p_sim.Engine
 
@@ -21,25 +14,4 @@ let record reg engine =
   (* cancels that arrived after their timer had already fired — a
      process-wide figure shared by the sim timer and the live transport's
      wall-clock wheel *)
-  set "timer" "cancel_late" (float_of_int (P2p_sim.Timer.cancel_late ()));
-  let stats = Engine.lane_stats engine in
-  let n = Array.length stats in
-  if n > 1 then begin
-    let max_exec = ref 0 and sum_exec = ref 0 in
-    Array.iteri
-      (fun i (s : Engine.lane_stat) ->
-        if s.Engine.lane_events > !max_exec then
-          max_exec := s.Engine.lane_events;
-        sum_exec := !sum_exec + s.Engine.lane_events;
-        let lane name v =
-          set "lanes" (Printf.sprintf "lane%d_%s" i name) (float_of_int v)
-        in
-        lane "executed" s.Engine.lane_events;
-        lane "pending" s.Engine.lane_pending;
-        lane "high_water" s.Engine.lane_high_water;
-        lane "stalls" s.Engine.lane_merge_stalls)
-      stats;
-    let mean = float_of_int !sum_exec /. float_of_int n in
-    set "lanes" "imbalance"
-      (if mean > 0.0 then float_of_int !max_exec /. mean else 1.0)
-  end
+  set "timer" "cancel_late" (float_of_int (P2p_sim.Timer.cancel_late ()))

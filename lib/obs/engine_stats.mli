@@ -1,16 +1,12 @@
 (** Engine occupancy gauges.
 
     [record reg engine] snapshots the engine into [reg]:
-    - ["engine/events_executed"], ["engine/queue_high_water"] — the
-      whole-engine figures;
-    - when the engine has more than one lane, per-lane gauges under
-      subsystem ["lanes"] ([lane<i>_executed], [lane<i>_pending],
-      [lane<i>_high_water], [lane<i>_stalls]) plus ["lanes/imbalance"]
-      (max/mean executed events per lane; [1.0] = balanced).
+    ["engine/events_executed"] and ["engine/queue_high_water"], plus
+    ["timer/cancel_late"] (process-wide cancels of already-fired
+    timers).
 
     Pull-style like {!Gc_stats}: call it from the {!Sampler}'s
     [on_sample] hook for a timeline, and once before exporting final
-    metrics.  [p2psim report] renders the ["lanes"] subsystem as the
-    [== lanes ==] table. *)
+    metrics. *)
 
 val record : Registry.t -> P2p_sim.Engine.t -> unit

@@ -70,7 +70,8 @@ let metrics_to_string registry = Json.to_string (Registry.to_json registry)
    operation id, timestamps are simulated ms scaled to the format's
    microseconds.  Open spans are skipped — the trace clamps children
    into their parents, so every emitted event nests properly in
-   ui.perfetto.dev.  Process-name metadata (ph "M") labels each lane. *)
+   ui.perfetto.dev.  Process-name metadata (ph "M") labels each peer's
+   track. *)
 
 let span_pid (s : Trace.span) =
   match (s.Trace.span_dst, s.Trace.span_src) with
@@ -78,14 +79,9 @@ let span_pid (s : Trace.span) =
   | None, Some src -> src
   | None, None -> 0
 
-(* Synthetic process holding one thread row per engine lane; far above
-   any real host id so Perfetto sorts it after the peer processes. *)
-let lanes_pid = 1_000_000_000
-
-let chrome_events ?lane_of trace =
+let chrome_events trace =
   let spans = Trace.spans trace in
   let pids = Hashtbl.create 16 in
-  let lanes_seen = Hashtbl.create 8 in
   let span_event ~pid ~tid (s : Trace.span) stop =
     Json.Obj
       [
@@ -107,28 +103,14 @@ let chrome_events ?lane_of trace =
       ]
   in
   let events =
-    List.concat_map
+    List.filter_map
       (fun (s : Trace.span) ->
         match s.Trace.span_stop with
-        | None -> []
+        | None -> None
         | Some stop ->
           let pid = span_pid s in
           if not (Hashtbl.mem pids pid) then Hashtbl.add pids pid ();
-          let per_peer = span_event ~pid ~tid:s.Trace.span_op s stop in
-          (* mirror the span onto its engine lane's thread row, so the
-             "engine lanes" process shows per-lane occupancy over time *)
-          let on_lane =
-            match lane_of with
-            | None -> []
-            | Some f -> (
-              match f pid with
-              | None -> []
-              | Some lane ->
-                if not (Hashtbl.mem lanes_seen lane) then
-                  Hashtbl.add lanes_seen lane ();
-                [ span_event ~pid:lanes_pid ~tid:lane s stop ])
-          in
-          per_peer :: on_lane)
+          Some (span_event ~pid ~tid:s.Trace.span_op s stop))
       spans
   in
   let meta ~pid ~tid ~what name =
@@ -148,21 +130,9 @@ let chrome_events ?lane_of trace =
            meta ~pid ~tid:0 ~what:"process_name"
              (if pid = 0 then "ops" else Printf.sprintf "peer %d" pid))
   in
-  let lane_metadata =
-    match Hashtbl.length lanes_seen with
-    | 0 -> []
-    | _ ->
-      meta ~pid:lanes_pid ~tid:0 ~what:"process_name" "engine lanes"
-      :: (Hashtbl.fold (fun lane () acc -> lane :: acc) lanes_seen []
-         |> List.sort compare
-         |> List.map (fun lane ->
-                meta ~pid:lanes_pid ~tid:lane ~what:"thread_name"
-                  (Printf.sprintf "lane %d" lane)))
-  in
-  metadata @ lane_metadata @ events
+  metadata @ events
 
-let trace_to_chrome ?lane_of trace =
-  Json.to_string (Json.List (chrome_events ?lane_of trace))
+let trace_to_chrome trace = Json.to_string (Json.List (chrome_events trace))
 
 let write_file ~path contents =
   let oc = open_out path in
@@ -178,8 +148,7 @@ let read_file path =
 
 let write_trace ~path trace = write_file ~path (trace_to_string trace)
 
-let write_chrome_trace ~path ?lane_of trace =
-  write_file ~path (trace_to_chrome ?lane_of trace)
+let write_chrome_trace ~path trace = write_file ~path (trace_to_chrome trace)
 
 let write_metrics ~path registry = write_file ~path (metrics_to_string registry)
 

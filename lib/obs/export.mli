@@ -30,22 +30,16 @@ val metrics_to_string : Registry.t -> string
 (** [trace_to_chrome trace] — the trace's completed spans in Chrome
     trace-event format (a JSON array of [ph:"X"] complete events plus
     [ph:"M"] process-name metadata), loadable by [ui.perfetto.dev] and
-    [chrome://tracing].  One process lane per peer ([pid] 0 holds the
+    [chrome://tracing].  One process track per peer ([pid] 0 holds the
     operation root spans), one thread per operation id; simulated ms map
-    to the format's microseconds.  Still-open spans are skipped.
-
-    [lane_of host] (if given) maps a host id to its engine lane; each
-    span is then mirrored onto a synthetic ["engine lanes"] process with
-    one named thread row per lane, so Perfetto shows lane occupancy over
-    time next to the per-peer view. *)
-val trace_to_chrome : ?lane_of:(int -> int option) -> P2p_sim.Trace.t -> string
+    to the format's microseconds.  Still-open spans are skipped. *)
+val trace_to_chrome : P2p_sim.Trace.t -> string
 
 (** The chrome trace-event objects behind {!trace_to_chrome}, as JSON
     values — [ph:"M"] process metadata first, then the [ph:"X"] span
     events.  Lets a cross-process aggregator pool several traces' events
     and emit one merged file ({!P2p_obs.Scrape.merged_chrome}). *)
-val chrome_events :
-  ?lane_of:(int -> int option) -> P2p_sim.Trace.t -> Json.t list
+val chrome_events : P2p_sim.Trace.t -> Json.t list
 
 (** {1 Files} *)
 
@@ -58,7 +52,6 @@ val read_file : string -> string
 
 val write_trace : path:string -> P2p_sim.Trace.t -> unit
 
-val write_chrome_trace :
-  path:string -> ?lane_of:(int -> int option) -> P2p_sim.Trace.t -> unit
+val write_chrome_trace : path:string -> P2p_sim.Trace.t -> unit
 val write_metrics : path:string -> Registry.t -> unit
 val write_metrics_csv : path:string -> Registry.t -> unit

@@ -115,7 +115,7 @@ let rec ensure_dir d =
     try Sys.mkdir d 0o755 with Sys_error _ -> ()
   end
 
-let dump t ?trace ?lane_of ?registry ~dir ~reason () =
+let dump t ?trace ?registry ~dir ~reason () =
   ensure_dir dir;
   let path name = Filename.concat dir (Printf.sprintf "flight-%s%s" reason name) in
   let jsonl = path ".jsonl" in
@@ -124,7 +124,7 @@ let dump t ?trace ?lane_of ?registry ~dir ~reason () =
   (match trace with
    | Some tr when Trace.enabled tr ->
      let chrome = path ".chrome.json" in
-     Export.write_chrome_trace ~path:chrome ?lane_of tr;
+     Export.write_chrome_trace ~path:chrome tr;
      written := chrome :: !written
    | Some _ | None -> ());
   (match registry with

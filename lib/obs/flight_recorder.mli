@@ -59,14 +59,13 @@ val to_jsonl : ?reason:string -> t -> string
 
 (** [dump t ~dir ~reason ()] writes [dir/flight-<reason>.jsonl] (the
     ring), plus [flight-<reason>.chrome.json] when [trace] is an enabled
-    trace ({!Export.write_chrome_trace} of its retained spans; [lane_of]
-    adds the per-lane rows) and [flight-<reason>.metrics.json] when
+    trace ({!Export.write_chrome_trace} of its retained spans) and
+    [flight-<reason>.metrics.json] when
     [registry] is given.  Creates [dir] (and parents) as needed; returns
     the paths written, JSONL first. *)
 val dump :
   t ->
   ?trace:P2p_sim.Trace.t ->
-  ?lane_of:(int -> int option) ->
   ?registry:Registry.t ->
   dir:string ->
   reason:string ->

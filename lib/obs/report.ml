@@ -287,37 +287,6 @@ let render_runtime_header buf metrics =
   if parts <> [] then
     Buffer.add_string buf ("runtime: " ^ String.concat " | " parts ^ "\n\n")
 
-(* The ["lanes"] subsystem (written by the engine-stats fold on sharded
-   engines) renders as a per-lane occupancy table: lane<i>_{executed,
-   pending,high_water,stalls} gauges become one row per lane, plus the
-   imbalance summary line. *)
-let render_lanes buf metrics =
-  Buffer.add_string buf "== lanes ==\n";
-  let value name =
-    match List.assoc_opt name metrics with Some (Gauge v) -> Some v | _ -> None
-  in
-  let get i suffix = value (Printf.sprintf "lane%d_%s" i suffix) in
-  Buffer.add_string buf
-    (Printf.sprintf "  %4s %12s %10s %12s %8s\n" "lane" "executed" "pending"
-       "high-water" "stalls");
-  let rec row i =
-    match get i "executed" with
-    | None -> ()
-    | Some executed ->
-      let f suffix = Option.value ~default:0.0 (get i suffix) in
-      Buffer.add_string buf
-        (Printf.sprintf "  %4d %12.0f %10.0f %12.0f %8.0f\n" i executed
-           (f "pending") (f "high_water") (f "stalls"));
-      row (i + 1)
-  in
-  row 0;
-  (match value "imbalance" with
-   | Some v ->
-     Buffer.add_string buf
-       (Printf.sprintf "  imbalance (max/mean executed)  %.2f\n" v)
-   | None -> ());
-  Buffer.add_char buf '\n'
-
 let render report =
   let buf = Buffer.create 1024 in
   (match List.assoc_opt "gc" report with
@@ -328,7 +297,6 @@ let render report =
       if subsystem = "gc" then ()
       else if subsystem = "audit" then render_health buf metrics
       else if subsystem = "latency" then render_latency buf metrics
-      else if subsystem = "lanes" then render_lanes buf metrics
       else begin
         Buffer.add_string buf (Printf.sprintf "== %s ==\n" subsystem);
         (* counters and gauges first, aligned; histograms after with charts *)

@@ -45,7 +45,7 @@ let snapshot t ~now =
 
 let poll t ~now =
   if now >= t.next_due then begin
-    (* refresh pull-style gauges (GC deltas, lane occupancy) right before
+    (* refresh pull-style gauges (GC deltas, engine occupancy) right before
        reading the registry, so the timeline sees current values without
        the hot path paying for them on every event *)
     (match t.on_sample with Some f -> f () | None -> ());

@@ -12,7 +12,7 @@ type t
 (** [create ~interval reg] samples [reg] at most once per [interval]
     simulated ms.  [on_sample] (if given) runs immediately before every
     snapshot — the place to refresh pull-style gauges (GC deltas,
-    per-lane engine occupancy) that nobody updates eagerly.
+    engine occupancy) that nobody updates eagerly.
     @raise Invalid_argument if [interval <= 0]. *)
 val create : interval:float -> ?on_sample:(unit -> unit) -> Registry.t -> t
 

@@ -38,10 +38,7 @@ let delay t ~src ~dst =
   if src = dst then t.processing_delay
   else Routing.distance t.routing src dst +. t.processing_delay +. transmission
 
-let send t ?op ?shard ~src ~dst f =
-  (* default sharding: by destination host, so deliveries to one host
-     stay in one lane; the overlay passes ring-segment shards instead *)
-  let shard = match shard with Some s -> s | None -> dst in
+let send t ?op ~src ~dst f =
   let path_hops =
     if src = dst then 0
     else begin
@@ -64,8 +61,7 @@ let send t ?op ?shard ~src ~dst f =
     Trace.record_f t.trace ~time:(Engine.now t.engine) ~tag:"message" ?op ~src
       ~dst "%.2f ms, %d links" message_delay path_hops;
   (* deliveries are never cancelled: the detached path skips the handle *)
-  Engine.schedule_detached t.engine ~label:message_label ~shard
-    ~delay:message_delay f
+  Engine.schedule_detached t.engine ~label:message_label ~delay:message_delay f
 
 let engine t = t.engine
 let trace t = t.trace

@@ -33,11 +33,8 @@ val trace : t -> P2p_sim.Trace.t
     Sending to self delivers after just the processing delay.  [op] stamps
     the traced ["message"] event with the operation id of the insert /
     lookup / join that caused it (see {!P2p_sim.Trace.begin_op}), making
-    the operation's hop sequence replayable.  [shard] selects the engine
-    event lane for the delivery (default: the destination host); with the
-    default single lane or zero lookahead it has no observable effect. *)
-val send :
-  t -> ?op:int -> ?shard:int -> src:int -> dst:int -> (unit -> unit) -> unit
+    the operation's hop sequence replayable. *)
+val send : t -> ?op:int -> src:int -> dst:int -> (unit -> unit) -> unit
 
 (** [set_transmission_delay t f] installs an additional per-message delay
     [f ~src ~dst] (ms) — used to model heterogeneous access-link

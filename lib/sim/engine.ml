@@ -4,43 +4,20 @@ type labeled = { label : string option; thunk : unit -> unit }
 
 type label_stats = { mutable fires : int; mutable cpu_s : float }
 
-(* The event population is partitioned into [lanes] independent heaps
-   sharing one sequence counter.  Execution merges the lane heads by
-   (time, seq), so with [lookahead = 0] the order is bit-identical to a
-   single queue for every lane count; [run] additionally drains a lane in
-   batches while it stays ahead of every other lane (plus the lookahead
-   allowance), which keeps the merge overhead off the hot path when
-   segments genuinely run independently. *)
-type lane_stat = {
-  lane_events : int;
-  lane_pending : int;
-  lane_high_water : int;
-  lane_merge_stalls : int;
-}
-
 type t = {
-  lanes : labeled Event_queue.t array;
-  lookahead : float;
+  queue : labeled Event_queue.t;
   mutable clock : float;
   mutable executed : int;
   root_rng : Rng.t;
   mutable queue_hwm : int;
-  mutable physical : int;  (* events currently occupying heap slots *)
   mutable profiling : bool;
   label_table : (string, label_stats) Hashtbl.t;
-  (* per-lane occupancy: where do events execute, how deep does each
-     lane's heap get, and how often does a batch hit another lane's
-     frontier (the merge-overhead signal lookahead tuning cares about) *)
-  lane_executed : int array;
-  lane_hwm : int array;
-  lane_stalls : int array;
-  (* one executor closure per lane, built once — [pop_apply] then runs
-     events without a fresh closure per pop *)
-  mutable exec : (float -> labeled -> unit) array;
+  (* the executor closure, built once — [pop_apply] then runs events
+     without a fresh closure per pop *)
+  exec : float -> labeled -> unit;
   (* scoped batch insertion: inside [schedule_batch] every insert defers
-     its heap sift; [batch_dirty] marks the lanes to flush on exit *)
+     its heap sift until the outermost batch returns *)
   mutable in_batch : bool;
-  batch_dirty : bool array;
 }
 
 let account t label cpu_s =
@@ -55,11 +32,9 @@ let account t label cpu_s =
   stats.fires <- stats.fires + 1;
   stats.cpu_s <- stats.cpu_s +. cpu_s
 
-let execute t lane time { label; thunk } =
+let execute t time { label; thunk } =
   t.clock <- time;
   t.executed <- t.executed + 1;
-  t.lane_executed.(lane) <- t.lane_executed.(lane) + 1;
-  t.physical <- t.physical - 1;
   match label with
   | Some label when t.profiling ->
     let started = Sys.time () in
@@ -67,111 +42,62 @@ let execute t lane time { label; thunk } =
     account t label (Sys.time () -. started)
   | Some _ | None -> thunk ()
 
-let create ~seed ?(lanes = 1) ?(lookahead = 0.0) () =
-  if lanes < 1 then invalid_arg "Engine.create: lanes must be >= 1";
-  if lookahead < 0.0 then invalid_arg "Engine.create: negative lookahead";
-  let tick = ref 0 in
-  let t =
+let create ~seed () =
+  let rec t =
     {
-      lanes = Array.init lanes (fun _ -> Event_queue.create ~tick ());
-      lookahead;
+      queue = Event_queue.create ();
       clock = 0.0;
       executed = 0;
       root_rng = Rng.create seed;
       queue_hwm = 0;
-      physical = 0;
       profiling = false;
       label_table = Hashtbl.create 16;
-      lane_executed = Array.make lanes 0;
-      lane_hwm = Array.make lanes 0;
-      lane_stalls = Array.make lanes 0;
-      exec = [||];
+      exec = (fun time ev -> execute t time ev);
       in_batch = false;
-      batch_dirty = Array.make lanes false;
     }
   in
-  t.exec <- Array.init lanes (fun i time ev -> execute t i time ev);
   t
 
 let rng t = t.root_rng
 
 let now t = t.clock
 
-let lanes t = Array.length t.lanes
-
-let lookahead t = t.lookahead
-
 let enable_profiling t = t.profiling <- true
 
 let profiling t = t.profiling
 
-let lane_index t shard =
-  match shard with
-  | None -> 0
-  | Some s -> (s land max_int) mod Array.length t.lanes
+(* The heap's physical size right after an insert — live entries plus
+   cancelled ones not yet collected — is the queue-depth figure.  An
+   insert may compact the heap first, so this is read, never counted. *)
+let track_insert t =
+  let depth = Event_queue.length t.queue in
+  if depth > t.queue_hwm then t.queue_hwm <- depth
 
-let physical_length t =
-  Array.fold_left (fun acc q -> acc + Event_queue.length q) 0 t.lanes
-
-(* Incremental physical-population bookkeeping around one lane insert:
-   adding can trigger a lane compaction, so resync against the true
-   figure when the lane shrank. *)
-let track_insert t i ~before ~after =
-  t.physical <- t.physical + (after - before);
-  if after < before then t.physical <- physical_length t
-  else if t.physical > t.queue_hwm then t.queue_hwm <- t.physical;
-  if after > t.lane_hwm.(i) then t.lane_hwm.(i) <- after
-
-let add t ~time ~shard ~label f =
-  let i = lane_index t shard in
-  let q = t.lanes.(i) in
-  let before = Event_queue.length q in
+let add t ~time ~label f =
   let h =
-    if t.in_batch then begin
-      t.batch_dirty.(i) <- true;
-      Event_queue.batch_add q ~time { label; thunk = f }
-    end
-    else Event_queue.add q ~time { label; thunk = f }
+    if t.in_batch then Event_queue.batch_add t.queue ~time { label; thunk = f }
+    else Event_queue.add t.queue ~time { label; thunk = f }
   in
-  track_insert t i ~before ~after:(Event_queue.length q);
+  track_insert t;
   h
 
-let schedule ?label ?shard t ~delay f =
+let schedule ?label t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  add t ~time:(t.clock +. delay) ~shard ~label f
+  add t ~time:(t.clock +. delay) ~label f
 
-let schedule_at ?label ?shard t ~time f =
+let schedule_at ?label t ~time f =
   if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
-  add t ~time ~shard ~label f
+  add t ~time ~label f
 
-(* The fire-and-forget fast path: no handle, and [label]/[shard] are
-   plain arguments so a call site with hoisted values allocates nothing
-   beyond the event record itself. *)
-let schedule_detached t ~label ~shard ~delay f =
+(* The fire-and-forget fast path: no handle, and [label] is a plain
+   argument so a call site with a hoisted value allocates nothing beyond
+   the event record itself. *)
+let schedule_detached t ~label ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule_detached: negative delay";
-  let i = (shard land max_int) mod Array.length t.lanes in
-  let q = t.lanes.(i) in
   let time = t.clock +. delay in
-  let before = Event_queue.length q in
-  if t.in_batch then begin
-    t.batch_dirty.(i) <- true;
-    Event_queue.batch_add_fast q ~time { label; thunk = f }
-  end
-  else Event_queue.add_fast q ~time { label; thunk = f };
-  track_insert t i ~before ~after:(Event_queue.length q)
-
-let flush_batches t =
-  for i = 0 to Array.length t.batch_dirty - 1 do
-    if t.batch_dirty.(i) then begin
-      t.batch_dirty.(i) <- false;
-      let q = t.lanes.(i) in
-      let before = Event_queue.length q in
-      Event_queue.flush_batch q;
-      (* flushing can compact the lane; only shrinkage to account for *)
-      let after = Event_queue.length q in
-      if after < before then t.physical <- physical_length t
-    end
-  done
+  if t.in_batch then Event_queue.batch_add_fast t.queue ~time { label; thunk = f }
+  else Event_queue.add_fast t.queue ~time { label; thunk = f };
+  track_insert t
 
 (* hand-rolled instead of [Fun.protect]: this wraps every multi-recipient
    fan-out, and the protect wrapper's closure is measurable there *)
@@ -182,119 +108,36 @@ let schedule_batch t f =
     match f () with
     | () ->
       t.in_batch <- false;
-      flush_batches t
+      Event_queue.flush_batch t.queue
     | exception e ->
       t.in_batch <- false;
-      flush_batches t;
+      Event_queue.flush_batch t.queue;
       raise e
   end
 
 let cancel = Event_queue.cancel
 
-(* Index of the lane holding the globally earliest live event by
-   (time, seq) — exactly the entry a single merged heap would pop. *)
-let min_lane t =
-  let n = Array.length t.lanes in
-  if n = 1 then if Event_queue.is_empty t.lanes.(0) then -1 else 0
-  else begin
-    let best = ref (-1) in
-    let best_time = ref infinity and best_seq = ref max_int in
-    for i = 0 to n - 1 do
-      let q = t.lanes.(i) in
-      if not (Event_queue.is_empty q) then begin
-        let time = Event_queue.next_time q in
-        let seq = Event_queue.peek_seq q in
-        if time < !best_time || (time = !best_time && seq < !best_seq) then begin
-          best := i;
-          best_time := time;
-          best_seq := seq
-        end
-      end
-    done;
-    !best
-  end
+let step t = Event_queue.pop_apply t.queue t.exec
 
-let step t =
-  match min_lane t with
-  | -1 -> false
-  | i -> Event_queue.pop_apply t.lanes.(i) t.exec.(i)
-
-(* Earliest head time over every lane except [i]: the conservative bound
-   up to which lane [i] may run without consulting the others. *)
-let frontier_excluding t i =
-  let bound = ref infinity in
-  for j = 0 to Array.length t.lanes - 1 do
-    if j <> i then begin
-      let time = Event_queue.next_time t.lanes.(j) in
-      if time < !bound then bound := time
-    end
-  done;
-  !bound
-
-let rec run t =
-  match min_lane t with
-  | -1 -> ()
-  | i ->
-    let q = t.lanes.(i) in
-    let exec = t.exec.(i) in
-    ignore (Event_queue.pop_apply q exec : bool);
-    (* Batch: keep draining this lane while it cannot race any other
-       lane.  With lookahead = 0 only strictly earlier events qualify
-       (same-time events across lanes must merge by sequence number, so
-       order stays single-queue-identical); a positive lookahead lets the
-       lane run bounded-skew ahead, the conservative-lookahead window. *)
-    let continue = ref true in
-    while !continue do
-      if Event_queue.is_empty q then continue := false
-      else begin
-        let frontier = frontier_excluding t i in
-        let time = Event_queue.next_time q in
-        if
-          time < frontier
-          || (t.lookahead > 0.0 && time <= frontier +. t.lookahead)
-        then ignore (Event_queue.pop_apply q exec : bool)
-        else begin
-          (* the lane still has work but another lane's frontier stops
-             the batch: back to the global merge *)
-          t.lane_stalls.(i) <- t.lane_stalls.(i) + 1;
-          continue := false
-        end
-      end
-    done;
-    run t
+let run t =
+  while Event_queue.pop_apply t.queue t.exec do
+    ()
+  done
 
 let run_until t ~time =
-  let rec loop () =
-    match min_lane t with
-    | -1 -> ()
-    | i ->
-      let q = t.lanes.(i) in
-      (* min_lane <> -1 guarantees a live head *)
-      if Event_queue.next_time q <= time then begin
-        ignore (Event_queue.pop_apply q t.exec.(i) : bool);
-        loop ()
-      end
-  in
-  loop ();
+  while
+    Event_queue.next_time t.queue <= time
+    && Event_queue.pop_apply t.queue t.exec
+  do
+    ()
+  done;
   if time > t.clock then t.clock <- time
 
 let events_executed t = t.executed
 
-let pending t =
-  Array.fold_left (fun acc q -> acc + Event_queue.live_length q) 0 t.lanes
+let pending t = Event_queue.live_length t.queue
 
 let queue_high_water t = t.queue_hwm
-
-let lane_stats t =
-  Array.mapi
-    (fun i q ->
-      {
-        lane_events = t.lane_executed.(i);
-        lane_pending = Event_queue.live_length q;
-        lane_high_water = t.lane_hwm.(i);
-        lane_merge_stalls = t.lane_stalls.(i);
-      })
-    t.lanes
 
 let profile t =
   Hashtbl.fold

@@ -9,23 +9,12 @@
     paper reports (hop counts, latencies, message counts, failure ratios) is
     produced by event-driven message delivery on top of this engine.
 
-    {b Event lanes.} The event population can be partitioned into [lanes]
-    independent heaps ({!create}'s [?lanes], default [1]).  Callers tag
-    scheduled events with an integer [?shard] (untagged events go to lane
-    0); the engine maps shards onto lanes and merges the lane heads
-    conservatively by [(time, sequence)].  With the default
-    [lookahead = 0.] the merged order is {e identical} to a single queue
-    for every lane count — lanes only change the data layout (smaller
-    heaps, segment-local sift costs), never the trace.  A positive
-    [lookahead] relaxes the merge: {!run} drains one lane in batches while
-    its head stays within [lookahead] of every other lane's head, so
-    mostly-independent segments execute in long runs without consulting
-    the global order.  That is safe whenever [lookahead] is at most the
-    minimum cross-lane scheduling delay (for the hybrid overlay: the
-    minimum underlay message latency), the classic conservative-lookahead
-    condition; events inside one lane always execute in exact order.
-    During a lookahead batch the clock can regress by at most [lookahead]
-    between events of different lanes.
+    {b One queue.} Every event lives in a single {!Event_queue} ordered by
+    [(time, sequence)]: the sequence number is stamped at scheduling time,
+    so events due at the same instant fire in scheduling order and a run
+    is a pure function of its seed.  Like NS2, the engine is sequential —
+    protocol handlers mutate other peers' state directly, so there is
+    nothing to run in parallel.
 
     {b Profiling.} The engine always tracks the number of events executed
     and the high-water mark of the queue depth.  When profiling is switched
@@ -39,55 +28,41 @@ type t
 
 type handle = Event_queue.handle
 
-(** [create ~seed ?lanes ?lookahead ()] makes an engine whose clock starts
-    at [0.] and whose root RNG is seeded with [seed].  [lanes] (default
-    [1]) is the number of event lanes; [lookahead] (default [0.], exact
-    merge) is the conservative-lookahead window in simulated milliseconds.
-    @raise Invalid_argument if [lanes < 1] or [lookahead < 0.]. *)
-val create : seed:int -> ?lanes:int -> ?lookahead:float -> unit -> t
+(** [create ~seed ()] makes an engine whose clock starts at [0.] and whose
+    root RNG is seeded with [seed]. *)
+val create : seed:int -> unit -> t
 
 (** The engine's root RNG.  Subsystems should [Rng.split] it rather than
     share it, so that adding a consumer does not shift other streams. *)
 val rng : t -> Rng.t
 
-(** Current simulated time (the timestamp of the executing event; under a
-    positive lookahead this can regress by at most [lookahead] between
-    events of different lanes). *)
+(** Current simulated time (the timestamp of the executing event). *)
 val now : t -> float
 
-(** Number of event lanes. *)
-val lanes : t -> int
-
-(** The conservative-lookahead window ([0.] = exact single-queue order). *)
-val lookahead : t -> float
-
-(** [schedule ?label ?shard t ~delay f] runs [f ()] at [now t +. delay].
-    [label] groups the event for {!profile} accounting; [shard] selects
-    the event's lane ([shard mod lanes]; omitted means lane 0).
+(** [schedule ?label t ~delay f] runs [f ()] at [now t +. delay].
+    [label] groups the event for {!profile} accounting.
     @raise Invalid_argument if [delay < 0.]. *)
-val schedule :
-  ?label:string -> ?shard:int -> t -> delay:float -> (unit -> unit) -> handle
+val schedule : ?label:string -> t -> delay:float -> (unit -> unit) -> handle
 
-(** [schedule_at ?label ?shard t ~time f] runs [f ()] at absolute [time].
+(** [schedule_at ?label t ~time f] runs [f ()] at absolute [time].
     @raise Invalid_argument if [time] is in the simulated past. *)
-val schedule_at :
-  ?label:string -> ?shard:int -> t -> time:float -> (unit -> unit) -> handle
+val schedule_at : ?label:string -> t -> time:float -> (unit -> unit) -> handle
 
-(** [schedule_detached t ~label ~shard ~delay f] is {!schedule} for
+(** [schedule_detached t ~label ~delay f] is {!schedule} for
     fire-and-forget events: no handle is returned, so nothing cancellable
-    is allocated (the lane queue reuses a shared never-dead handle and a
-    pooled entry).  [label] and [shard] are plain arguments — pass
-    hoisted values at hot call sites and the call allocates only the
-    event record.  This is the per-message path of the underlay, which
-    never cancels deliveries.
+    is allocated (the queue reuses a shared never-dead handle and a
+    pooled entry).  [label] is a plain argument — pass a hoisted value at
+    hot call sites and the call allocates only the event record.  This
+    is the per-message path of the underlay, which never cancels
+    deliveries.
     @raise Invalid_argument if [delay < 0.]. *)
 val schedule_detached :
-  t -> label:string option -> shard:int -> delay:float -> (unit -> unit) -> unit
+  t -> label:string option -> delay:float -> (unit -> unit) -> unit
 
 (** [schedule_batch t f] runs [f ()] with batched event insertion: every
     [schedule]/[schedule_at]/[schedule_detached] inside [f] appends to
-    its lane without restoring the heap property, and the touched lanes
-    are restructured once when [f] returns (or raises).  A fan-out of
+    the queue without restoring the heap property, and the heap is
+    restructured once when [f] returns (or raises).  A fan-out of
     [k] inserts thus costs one sift pass instead of [k].  Ordering is
     unaffected — sequence numbers are stamped at call time, so the
     executed schedule is bit-identical with and without batching.  Nested
@@ -99,18 +74,15 @@ val schedule_batch : t -> (unit -> unit) -> unit
 (** [cancel h] prevents a scheduled action from running. *)
 val cancel : handle -> unit
 
-(** [step t] executes the earliest pending event (by global
-    [(time, sequence)] order across every lane), advancing the clock.
-    Returns [false] if no event was pending.  [step] never applies the
-    lookahead batching — external step loops observe the exact order. *)
+(** [step t] executes the earliest pending event (by [(time, sequence)]),
+    advancing the clock.  Returns [false] if no event was pending. *)
 val step : t -> bool
 
-(** [run t] executes events until every lane is empty, draining lanes in
-    conservative batches (see the module preamble). *)
+(** [run t] executes events until the queue is empty. *)
 val run : t -> unit
 
 (** [run_until t ~time] executes all events with timestamp [<= time] in
-    exact global order, then advances the clock to exactly [time]. *)
+    order, then advances the clock to exactly [time]. *)
 val run_until : t -> time:float -> unit
 
 (** {1 Profiling} *)
@@ -125,29 +97,12 @@ val profiling : t -> bool
 (** Number of events executed so far. *)
 val events_executed : t -> int
 
-(** Number of live events still pending, summed over every lane. *)
+(** Number of live events still pending. *)
 val pending : t -> int
 
-(** Highest total queue depth observed so far (physical heap slots summed
-    over lanes, counting not-yet-collected cancelled events). *)
+(** Highest queue depth observed so far: physical heap slots right after
+    an insert, counting not-yet-collected cancelled events. *)
 val queue_high_water : t -> int
-
-(** One lane's occupancy figures — always tracked (a handful of array
-    stores per event), so per-lane telemetry needs no profiling flag. *)
-type lane_stat = {
-  lane_events : int;  (** events executed on this lane *)
-  lane_pending : int;  (** live events currently queued on this lane *)
-  lane_high_water : int;
-      (** deepest physical heap this lane has reached (slots, counting
-          not-yet-collected cancelled events) *)
-  lane_merge_stalls : int;
-      (** {!run} batches this lane ended because another lane's frontier
-          blocked further draining — the cross-lane merge-overhead signal
-          lookahead tuning watches *)
-}
-
-(** [lane_stats t] — a fresh per-lane snapshot, index = lane number. *)
-val lane_stats : t -> lane_stat array
 
 (** [profile t] — per-label [(label, fires, cpu_seconds)] rows, sorted by
     label.  Empty unless {!enable_profiling} was called and labelled events

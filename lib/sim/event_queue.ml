@@ -20,7 +20,7 @@ type 'a t = {
   mutable times : float array;
   mutable seqs : int array;
   mutable size : int;
-  tick : int ref;
+  mutable tick : int;  (* next sequence number *)
   dead_in_heap : int ref;  (* cancelled entries still occupying slots *)
   immortal : handle;  (* shared handle for never-cancelled events *)
   mutable pool : 'a entry array;
@@ -32,15 +32,14 @@ type 'a t = {
    queue retains for reuse. *)
 let pool_cap = 1024
 
-let create ?tick () =
-  let tick = match tick with Some t -> t | None -> ref 0 in
+let create () =
   let dead_in_heap = ref 0 in
   {
     heap = [||];
     times = [||];
     seqs = [||];
     size = 0;
-    tick;
+    tick = 0;
     dead_in_heap;
     immortal = { dead = false; queued = false; dead_count = dead_in_heap };
     pool = [||];
@@ -199,8 +198,8 @@ let ensure t = if t.pending > 0 then flush_batch t
 (* Stamp [entry] with the next sequence number and append it. *)
 let append t ~time entry =
   grow t entry;
-  let seq = !(t.tick) in
-  t.tick := seq + 1;
+  let seq = t.tick in
+  t.tick <- seq + 1;
   t.heap.(t.size) <- entry;
   t.times.(t.size) <- time;
   t.seqs.(t.size) <- seq;
@@ -296,17 +295,6 @@ let next_time t =
   ensure t;
   drop_dead t;
   if t.size = 0 then infinity else t.times.(0)
-
-let peek_key t =
-  ensure t;
-  drop_dead t;
-  if t.size = 0 then None
-  else Some (t.times.(0), t.seqs.(0))
-
-let peek_seq t =
-  ensure t;
-  drop_dead t;
-  if t.size = 0 then max_int else t.seqs.(0)
 
 let is_empty t =
   ensure t;

@@ -28,12 +28,8 @@ type 'a t
 (** Handle to a scheduled event, usable for cancellation. *)
 type handle
 
-(** [create ?tick ()] makes an empty queue.  [tick] is the sequence
-    counter used to stamp insertions; passing the same ref to several
-    queues gives their entries one global scheduling order, which is how
-    the engine's per-lane queues stay mergeable into a single
-    deterministic timeline (see {!peek_key}). *)
-val create : ?tick:int ref -> unit -> 'a t
+(** [create ()] makes an empty queue. *)
+val create : unit -> 'a t
 
 (** [add t ~time v] schedules [v] at [time] and returns its handle. *)
 val add : 'a t -> time:float -> 'a -> handle
@@ -86,18 +82,6 @@ val peek_time : 'a t -> float option
     Note: an event scheduled *at* time [infinity] is indistinguishable
     from emptiness here; use {!is_empty} to decide emptiness. *)
 val next_time : 'a t -> float
-
-(** [peek_key t] is the [(time, sequence)] ordering key of the earliest
-    live event, if any.  Comparing keys across queues that share a [tick]
-    counter yields the exact order a single merged queue would have
-    produced — the conservative merge primitive of the engine's event
-    lanes.  Dead events at the front are discarded as a side effect. *)
-val peek_key : 'a t -> (float * int) option
-
-(** [peek_seq t] is the sequence number of the earliest live event, or
-    [max_int] when none.  With {!next_time}, an allocation-free
-    {!peek_key}. *)
-val peek_seq : 'a t -> int
 
 (** [is_empty t] is [true] iff no live event remains.  Dead events at the
     front are discarded as a side effect. *)

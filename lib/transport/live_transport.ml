@@ -260,7 +260,7 @@ let send_traced t ?trace ~dst msg =
   if c.state = Closed then attempt_connect t c;
   if c.state = Connected then flush_conn t c
 
-let send t ?op:_ ?shard:_ ~src:_ ~dst msg = send_traced t ~dst msg
+let send t ?op:_ ~src:_ ~dst msg = send_traced t ~dst msg
 
 (* Decode every complete frame sitting in the connection's read buffer.
    [Hello] identifies the remote end and stays transport-internal; all

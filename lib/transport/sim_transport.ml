@@ -34,11 +34,11 @@ let make ~underlay =
 
 let now t = Engine.now t.engine
 
-let send t ?op ?shard ~src ~dst payload =
+let send t ?op ~src ~dst payload =
   if t.default_dispatch then
-    P2p_net.Underlay.send t.underlay ?op ?shard ~src ~dst payload
+    P2p_net.Underlay.send t.underlay ?op ~src ~dst payload
   else
-    P2p_net.Underlay.send t.underlay ?op ?shard ~src ~dst (fun () ->
+    P2p_net.Underlay.send t.underlay ?op ~src ~dst (fun () ->
         t.handler ~src ~dst payload)
 
 let set_handler t f =
@@ -60,7 +60,7 @@ let periodic t ?label ~period f =
 let transport t =
   {
     Transport.now = (fun () -> now t);
-    send = (fun ?op ?shard ~src ~dst f -> send t ?op ?shard ~src ~dst f);
+    send = (fun ?op ~src ~dst f -> send t ?op ~src ~dst f);
     one_shot = (fun ?label ~delay f -> one_shot t ?label ~delay f);
     periodic = (fun ?label ~period f -> periodic t ?label ~period f);
     batch = (fun f -> Engine.schedule_batch t.engine f);

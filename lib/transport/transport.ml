@@ -32,11 +32,10 @@ module type S = sig
       wall clock — protocol code must not care which. *)
   val now : t -> float
 
-  (** [send t ?op ?shard ~src ~dst payload] hands [payload] to the
-      transport for delivery to [dst].  [op] attributes the message to a
-      traced operation; [shard] selects the engine event lane (sim) and
-      is ignored by backends without lanes. *)
-  val send : t -> ?op:int -> ?shard:int -> src:addr -> dst:addr -> payload -> unit
+  (** [send t ?op ~src ~dst payload] hands [payload] to the transport
+      for delivery to [dst].  [op] attributes the message to a traced
+      operation. *)
+  val send : t -> ?op:int -> src:addr -> dst:addr -> payload -> unit
 
   (** [set_handler t f] installs the receive dispatch: every delivered
       payload is passed to [f]. *)
@@ -58,8 +57,7 @@ end
    protocol stack.) *)
 type t = {
   now : unit -> float;
-  send :
-    ?op:int -> ?shard:int -> src:int -> dst:int -> (unit -> unit) -> unit;
+  send : ?op:int -> src:int -> dst:int -> (unit -> unit) -> unit;
   one_shot : ?label:string -> delay:float -> (unit -> unit) -> timer;
   periodic : ?label:string -> period:float -> (unit -> unit) -> timer;
   batch : (unit -> unit) -> unit;
@@ -67,7 +65,7 @@ type t = {
 
 let now t = t.now ()
 
-let send t ?op ?shard ~src ~dst f = t.send ?op ?shard ~src ~dst f
+let send t ?op ~src ~dst f = t.send ?op ~src ~dst f
 
 let batch t f = t.batch f
 

@@ -38,7 +38,7 @@ module type S = sig
 
   val now : t -> float
 
-  val send : t -> ?op:int -> ?shard:int -> src:addr -> dst:addr -> payload -> unit
+  val send : t -> ?op:int -> src:addr -> dst:addr -> payload -> unit
 
   val set_handler : t -> (src:addr -> dst:addr -> payload -> unit) -> unit
 
@@ -53,8 +53,7 @@ end
     the backend clock. *)
 type t = {
   now : unit -> float;
-  send :
-    ?op:int -> ?shard:int -> src:int -> dst:int -> (unit -> unit) -> unit;
+  send : ?op:int -> src:int -> dst:int -> (unit -> unit) -> unit;
   one_shot : ?label:string -> delay:float -> (unit -> unit) -> timer;
   periodic : ?label:string -> period:float -> (unit -> unit) -> timer;
   batch : (unit -> unit) -> unit;
@@ -67,7 +66,7 @@ type t = {
 
 val now : t -> float
 
-val send : t -> ?op:int -> ?shard:int -> src:int -> dst:int -> (unit -> unit) -> unit
+val send : t -> ?op:int -> src:int -> dst:int -> (unit -> unit) -> unit
 
 (** [batch t f] — see the {!type-t} field. *)
 val batch : t -> (unit -> unit) -> unit

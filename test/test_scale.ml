@@ -1,11 +1,10 @@
 (* Scale-refactor tests: key interning, the flat data store, the flat
-   world membership (successor-index wraparound) and the sharded engine
-   lanes (merge order and end-to-end determinism under churn). *)
+   world membership (successor-index wraparound) and end-to-end
+   determinism under churn. *)
 
 open Helpers
 module Intern = Hybrid_p2p.Intern
 module Data_store = Hybrid_p2p.Data_store
-module Engine = P2p_sim.Engine
 
 let checkb = Alcotest.check Alcotest.bool
 let checki = Alcotest.check Alcotest.int
@@ -136,47 +135,11 @@ let test_successor_index_wraparound () =
   checki "top of the id space wraps" 100
     (succ_id (P2p_hashspace.Id_space.size - 1))
 
-(* --- engine lanes ------------------------------------------------------ *)
-
-(* Events scheduled across 4 lanes must pop in the exact global
-   (time, seq) order a single lane would produce. *)
-let test_lane_merge_order () =
-  let record engine ~lanes:_ =
-    let out = ref [] in
-    (* same schedule in both runs: shard i places events round-robin *)
-    for i = 0 to 31 do
-      ignore
-        (Engine.schedule ~shard:i engine
-           ~delay:(float_of_int ((i * 7) mod 5))
-           (fun () -> out := i :: !out)
-          : Engine.handle)
-    done;
-    while Engine.step engine do
-      ()
-    done;
-    List.rev !out
-  in
-  let single = record (Engine.create ~seed:3 ~lanes:1 ()) ~lanes:1 in
-  let sharded = record (Engine.create ~seed:3 ~lanes:4 ()) ~lanes:4 in
-  checki "same event count" (List.length single) (List.length sharded);
-  checkb "identical pop order" true (single = sharded);
-  (* run (batched draining) must also execute everything *)
-  let e = Engine.create ~seed:3 ~lanes:4 ~lookahead:1.0 () in
-  let n = ref 0 in
-  for i = 0 to 31 do
-    ignore
-      (Engine.schedule ~shard:i e ~delay:(float_of_int (i mod 3)) (fun () ->
-           incr n)
-        : Engine.handle)
-  done;
-  Engine.run e;
-  checki "run drains every lane" 32 !n
-
 (* --- end-to-end determinism under churn -------------------------------- *)
 
-(* Same seed, same scenario, 1 vs 4 lanes: the final stored-item
-   multiset (host, key, value, route) must be identical and the audit
-   invariants clean.  This is the contract SCALING.md documents. *)
+(* Same seed, same scenario, run twice: the final stored-item multiset
+   (host, key, value, route) must be identical and the audit invariants
+   clean.  This is the contract SCALING.md documents. *)
 let stored_items h =
   let acc = ref [] in
   World.iter_peers (H.world h)
@@ -185,10 +148,8 @@ let stored_items h =
           acc := Printf.sprintf "%d|%s|%s|%d" p.Peer.host key value route_id :: !acc));
   List.sort compare !acc
 
-let churn_run ~lanes =
-  let config =
-    { Config.default with Config.engine_lanes = lanes; replication_factor = 1 }
-  in
+let churn_run () =
+  let config = { Config.default with Config.replication_factor = 1 } in
   let h, _ = star_system ~config ~seed:7 ~capacity:2200 ~n:2000 ~ps:0.8 () in
   ignore (insert_items h ~count:200 : string list);
   (* churn: crash a deterministic slice, then heal *)
@@ -201,12 +162,12 @@ let churn_run ~lanes =
   ok_invariants h;
   (H.total_items h, stored_items h)
 
-let test_lanes_deterministic_churn () =
-  let items1, set1 = churn_run ~lanes:1 in
-  let items4, set4 = churn_run ~lanes:4 in
-  checki "same stored count" items1 items4;
-  checki "same set size" (List.length set1) (List.length set4);
-  checkb "identical stored-item sets" true (set1 = set4)
+let test_deterministic_churn () =
+  let items1, set1 = churn_run () in
+  let items2, set2 = churn_run () in
+  checki "same stored count" items1 items2;
+  checki "same set size" (List.length set1) (List.length set2);
+  checkb "identical stored-item sets" true (set1 = set2)
 
 let suite =
   [
@@ -220,8 +181,6 @@ let suite =
       test_store_shared_interner;
     Alcotest.test_case "world: successor index wraparound" `Quick
       test_successor_index_wraparound;
-    Alcotest.test_case "lanes: merge order matches single queue" `Quick
-      test_lane_merge_order;
-    Alcotest.test_case "lanes: churn scenario deterministic 1-vs-4" `Slow
-      test_lanes_deterministic_churn;
+    Alcotest.test_case "churn: same seed replays identically" `Slow
+      test_deterministic_churn;
   ]

@@ -323,11 +323,9 @@ let run_queue_model ops =
       | _ -> false)
     | Peek -> (
       note_flush ();
-      match (least (), Event_queue.peek_key q) with
-      | None, None -> Event_queue.peek_seq q = max_int
-      | Some (t, i, _), Some (time, seq) ->
-        (* a fresh queue numbers its insertions 0, 1, 2, ... *)
-        float_of_int t = time && i = seq && Event_queue.peek_seq q = seq
+      match (least (), Event_queue.peek_time q) with
+      | None, None -> true
+      | Some (t, _, _), Some time -> float_of_int t = time
       | _ -> false)
   in
   List.for_all
@@ -447,17 +445,16 @@ let test_engine_same_time_order () =
 
 (* The load-bearing property: wrapping any set of schedule calls in
    [schedule_batch] must replay the unbatched event schedule
-   bit-identically — same firing order, same clocks — across lanes and
-   same-time ties, including fan-outs issued from inside a running
-   event. *)
+   bit-identically — same firing order, same clocks — across same-time
+   ties, including fan-outs issued from inside a running event. *)
 let test_engine_schedule_batch_determinism () =
   let run ~batch =
-    let e = Engine.create ~seed:3 ~lanes:4 () in
+    let e = Engine.create ~seed:3 () in
     let log = ref [] in
     let wrap f = if batch then Engine.schedule_batch e f else f () in
     let sched i delay =
       ignore
-        (Engine.schedule e ~shard:(i mod 4) ~delay (fun () ->
+        (Engine.schedule e ~delay (fun () ->
              log := (i, Engine.now e) :: !log)
           : Engine.handle)
     in
@@ -517,13 +514,13 @@ let test_engine_batch_exception () =
   checkb "flushed despite exception" true !fired
 
 let test_engine_schedule_detached () =
-  let e = Engine.create ~seed:1 ~lanes:2 () in
+  let e = Engine.create ~seed:1 () in
   let log = ref [] in
-  Engine.schedule_detached e ~label:None ~shard:1 ~delay:2.0 (fun () ->
+  Engine.schedule_detached e ~label:None ~delay:2.0 (fun () ->
       log := "detached" :: !log);
   ignore (Engine.schedule e ~delay:1.0 (fun () -> log := "first" :: !log) : Engine.handle);
   ignore
-    (Engine.schedule e ~shard:1 ~delay:2.0 (fun () -> log := "tie-second" :: !log)
+    (Engine.schedule e ~delay:2.0 (fun () -> log := "tie-second" :: !log)
       : Engine.handle);
   Engine.run e;
   (* the detached event was scheduled first, so it wins the time-2 tie *)
@@ -531,7 +528,23 @@ let test_engine_schedule_detached () =
     [ "first"; "detached"; "tie-second" ] (List.rev !log);
   Alcotest.check_raises "negative delay"
     (Invalid_argument "Engine.schedule_detached: negative delay") (fun () ->
-      Engine.schedule_detached e ~label:None ~shard:0 ~delay:(-1.0) (fun () -> ()))
+      Engine.schedule_detached e ~label:None ~delay:(-1.0) (fun () -> ()))
+
+(* The high-water mark is the deepest the heap has physically been.
+   Cancelled events discarded at the root leave the heap as surely as
+   executed ones, so they must not keep inflating the figure. *)
+let test_engine_queue_high_water () =
+  let e = Engine.create ~seed:1 () in
+  let at delays = List.map (fun delay -> Engine.schedule e ~delay ignore) delays in
+  ignore (at [ 10.0; 11.0; 12.0 ] : Engine.handle list);
+  List.iter Engine.cancel (at [ 1.0; 2.0 ]);
+  checki "five slots" 5 (Engine.queue_high_water e);
+  (* the step drops both cancelled events and runs one live one *)
+  checkb "stepped" true (Engine.step e);
+  checki "two pending" 2 (Engine.pending e);
+  ignore (at [ 20.0; 21.0; 22.0 ] : Engine.handle list);
+  checki "five pending" 5 (Engine.pending e);
+  checki "high water is the real heap depth" 5 (Engine.queue_high_water e)
 
 (* --- Timer --- *)
 
@@ -630,6 +643,8 @@ let suite =
       test_engine_batch_exception;
     Alcotest.test_case "engine: schedule_detached ordering" `Quick
       test_engine_schedule_detached;
+    Alcotest.test_case "engine: queue high water after dead-root drops" `Quick
+      test_engine_queue_high_water;
     Alcotest.test_case "timer: one-shot" `Quick test_timer_one_shot;
     Alcotest.test_case "timer: cancel" `Quick test_timer_cancel;
     Alcotest.test_case "timer: reset postpones" `Quick test_timer_reset_postpones;

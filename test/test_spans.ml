@@ -559,7 +559,7 @@ let test_flight_recorder () =
        false
      with Invalid_argument _ -> true)
 
-(* --- pull-style gauges: sampler hook, gc stats, lane stats --- *)
+(* --- pull-style gauges: sampler hook, gc stats, engine stats --- *)
 
 let test_sampler_hook () =
   let reg = Registry.create () in
@@ -591,7 +591,7 @@ let contains haystack needle =
   let rec go i = i + m <= n && (String.sub haystack i m = needle || go (i + 1)) in
   go 0
 
-let test_runtime_and_lane_gauges () =
+let test_runtime_and_engine_gauges () =
   let reg = Registry.create () in
   let gc = Gc_stats.create reg in
   ignore (Sys.opaque_identity (Array.make 100_000 0.0) : float array);
@@ -600,40 +600,19 @@ let test_runtime_and_lane_gauges () =
   checkb "heap gauge populated" true (gv "heap_mb" > 0.0);
   checkb "allocation tracked" true (gv "allocated_mb_total" > 0.0);
   checkb "collection counts non-negative" true (gv "minor_collections" >= 0.0);
-  (* sharded engine: per-lane stats sum to the whole-engine figures *)
-  let e = Engine.create ~seed:1 ~lanes:4 () in
+  (* the engine gauges carry the whole-engine figures *)
+  let e = Engine.create ~seed:1 () in
   for i = 0 to 99 do
-    ignore
-      (Engine.schedule ~shard:i e ~delay:(float_of_int (i mod 10)) (fun () -> ())
-        : Engine.handle)
+    ignore (Engine.schedule e ~delay:(float_of_int (i mod 10)) ignore : Engine.handle)
   done;
   Engine.run e;
-  let stats = Engine.lane_stats e in
-  checki "one stat per lane" 4 (Array.length stats);
-  checki "lane executed sums to engine total" (Engine.events_executed e)
-    (Array.fold_left (fun a s -> a + s.Engine.lane_events) 0 stats);
-  checki "nothing left pending" 0
-    (Array.fold_left (fun a s -> a + s.Engine.lane_pending) 0 stats);
-  Array.iter
-    (fun s -> checkb "high water covers executed" true
-        (s.Engine.lane_high_water >= 1))
-    stats;
   Engine_stats.record reg e;
-  let lv name = Registry.gauge_value (Registry.gauge reg ~subsystem:"lanes" ~name) in
-  checkf "per-lane executed gauge" 25.0 (lv "lane0_executed");
-  checkf "balanced load reports imbalance 1" 1.0 (lv "imbalance");
-  checkf "whole-engine gauge kept" 100.0
-    (Registry.gauge_value (Registry.gauge reg ~subsystem:"engine" ~name:"events_executed"));
-  (* the report renders both without any flag: runtime header + lane table *)
+  let ev name = Registry.gauge_value (Registry.gauge reg ~subsystem:"engine" ~name) in
+  checkf "events executed gauge" 100.0 (ev "events_executed");
+  checkf "queue high-water gauge" 100.0 (ev "queue_high_water");
+  (* the report renders the runtime header without any flag *)
   let text = Report.render (Report.of_registry reg) in
-  checkb "runtime header rendered" true (contains text "runtime: alloc");
-  checkb "lanes section rendered" true (contains text "== lanes ==");
-  checkb "imbalance line rendered" true (contains text "imbalance");
-  (* a single-lane engine emits no lanes subsystem at all *)
-  let reg1 = Registry.create () in
-  Engine_stats.record reg1 (Engine.create ~seed:1 ());
-  checkb "single lane: no lanes section" false
-    (contains (Report.render (Report.of_registry reg1)) "== lanes ==")
+  checkb "runtime header rendered" true (contains text "runtime: alloc")
 
 (* --- cross-process identity: extern ops and span-id ranges --- *)
 
@@ -743,7 +722,7 @@ let suite =
     Alcotest.test_case "sampling: exact latency" `Quick test_sampling_exact_latency;
     Alcotest.test_case "flight recorder" `Quick test_flight_recorder;
     Alcotest.test_case "sampler on_sample hook" `Quick test_sampler_hook;
-    Alcotest.test_case "runtime and lane gauges" `Quick test_runtime_and_lane_gauges;
+    Alcotest.test_case "runtime and engine gauges" `Quick test_runtime_and_engine_gauges;
     Alcotest.test_case "extern op adopts the wire id" `Quick
       test_extern_op_adopts_wire_id;
     Alcotest.test_case "extern sampling agrees cluster-wide" `Quick

@@ -82,11 +82,12 @@ let bechamel_tests () =
       let time = Rng.float qrng 100.0 +. if timer then 60_000.0 else 0.0 in
       P2p_sim.Event_queue.add_fast q ~time timer
     done;
-    let successor time timer =
+    let clock = { P2p_sim.Event_queue.now = 0.0 } in
+    let successor timer =
       let delay = if timer then 60_000.0 else 1.0 +. Rng.float qrng 100.0 in
-      P2p_sim.Event_queue.add_fast q ~time:(time +. delay) timer
+      P2p_sim.Event_queue.add_fast q ~time:(clock.now +. delay) timer
     in
-    fun () -> ignore (P2p_sim.Event_queue.pop_apply q successor : bool)
+    fun () -> ignore (P2p_sim.Event_queue.pop_apply q clock successor : bool)
   in
   let dijkstra_sssp () =
     (* fresh router so the cache does not absorb the work *)

@@ -123,8 +123,7 @@ let tick t =
   t.timeline_rev <- (time, !tick_violations) :: t.timeline_rev;
   t.next_due <- time +. t.interval;
   t.ticked_at <- time;
-  Trace.end_op trace ~time ~op
-    (Printf.sprintf "violations=%d" !tick_violations);
+  Trace.end_op_f trace ~time ~op "violations=%d" !tick_violations;
   snap
 
 let due t = Engine.now t.world.World.engine >= t.next_due

@@ -93,8 +93,8 @@ let insert w ~from ~key ~value ?route_id () ~on_done =
   World.bump w ~subsystem:"data_ops" ~name:"inserts";
   let on_done ~holder ~hops =
     link_if_cross_network w from holder;
-    Trace.end_op (World.trace w) ~time:(World.now w) ~op
-      (Printf.sprintf "stored at #%d after %d hops" holder.Peer.host hops);
+    Trace.end_op_f (World.trace w) ~time:(World.now w) ~op
+      "stored at #%d after %d hops" holder.Peer.host hops;
     on_done ~holder ~hops
   in
   if snet_covers from d_id then
@@ -144,8 +144,8 @@ let finish_success ctx ~holder ~value ~hops =
     Transport.cancel ctx.timer;
     let latency = World.now ctx.w -. ctx.started in
     Metrics.record_lookup_success ctx.w.World.metrics ~latency ~hops;
-    Trace.end_op (World.trace ctx.w) ~time:(World.now ctx.w) ~op:ctx.op
-      (Printf.sprintf "found at #%d, %d hops, %.2f ms" holder.Peer.host hops latency);
+    Trace.end_op_f (World.trace ctx.w) ~time:(World.now ctx.w) ~op:ctx.op
+      "found at #%d, %d hops, %.2f ms" holder.Peer.host hops latency;
     link_if_cross_network ctx.w ctx.requester holder;
     (* the Section-7 caching scheme: the requester keeps a soft copy, so
        the next popular request is served locally *)
@@ -414,8 +414,8 @@ let keyword_lookup w ~from ~substring ~route_id ?ttl ~window () ~on_result =
   ignore
     (World.one_shot w ~delay:window (fun () ->
          closed := true;
-         Trace.end_op (World.trace w) ~time:(World.now w) ~op
-           (Printf.sprintf "%d matches" (List.length !matches));
+         Trace.end_op_f (World.trace w) ~time:(World.now w) ~op "%d matches"
+           (List.length !matches);
          on_result (List.rev !matches))
       : Transport.timer);
   let scan_peer peer =

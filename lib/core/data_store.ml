@@ -94,17 +94,20 @@ let insert_routed t ~route_id ~key ~value =
 let insert t ~key ~value =
   insert_routed t ~route_id:(Key_hash.of_string key) ~key ~value
 
+(* Linear probe from slot [i] of [keys] (capacity [mask + 1]) for key id
+   [kid].  Top level, so a probe allocates no closure: every ring-walk
+   hop checks a store. *)
+let rec probe_from keys kid mask i =
+  let k = keys.(i) in
+  if k = kid then i
+  else if k = empty_slot then -1
+  else probe_from keys kid mask ((i + 1) land mask)
+
 (* Probe for key id [kid]'s slot, or [-1] when absent.  Needs
    [t.live > 0]: an emptied store may hold no arrays at all. *)
 let probe t kid =
   let cap = Array.length t.keys in
-  let rec go i =
-    let k = t.keys.(i) in
-    if k = kid then i
-    else if k = empty_slot then -1
-    else go ((i + 1) land (cap - 1))
-  in
-  go (mix kid cap)
+  probe_from t.keys kid (cap - 1) (mix kid cap)
 
 (* Probe for [key]'s slot, or [-1] when absent (including: never interned,
    or interned only by other stores sharing the interner). *)

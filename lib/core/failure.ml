@@ -303,5 +303,5 @@ let repair w =
   (match w.World.on_repaired with
    | Some heal -> heal ~op:(Some op)
    | None -> ());
-  Trace.end_op (World.trace w) ~time:(World.now w) ~op
-    (Printf.sprintf "%d live peers" (World.peer_count w))
+  Trace.end_op_f (World.trace w) ~time:(World.now w) ~op "%d live peers"
+    (World.peer_count w)

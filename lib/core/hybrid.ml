@@ -28,20 +28,24 @@ let create ~seed ~routing ?(config = Config.default) ?snet_policy ?(s_fraction =
   (match trace with
    | Some tr when Trace.enabled tr ->
      let reg = Metrics.registry metrics in
-     let hists = Hashtbl.create 8 in
-     Trace.on_op_complete tr (fun (c : Trace.op_completion) ->
+     (* a handful of kinds: a list scan beats hashing the kind string on
+        every completion *)
+     let hists = ref [] in
+     let rec hist_of kind = function
+       | (k, h) :: _ when String.equal k kind -> h
+       | _ :: rest -> hist_of kind rest
+       | [] ->
          let h =
-           match Hashtbl.find_opt hists c.Trace.comp_kind with
-           | Some h -> h
-           | None ->
-             let h =
-               P2p_obs.Registry.log_histogram reg ~subsystem:"latency"
-                 ~name:(c.Trace.comp_kind ^ "_total_ms")
-             in
-             Hashtbl.add hists c.Trace.comp_kind h;
-             h
+           P2p_obs.Registry.log_histogram reg ~subsystem:"latency"
+             ~name:(kind ^ "_total_ms")
          in
-         P2p_obs.Log_hist.observe h (c.Trace.comp_stop -. c.Trace.comp_start))
+         hists := (kind, h) :: !hists;
+         h
+     in
+     Trace.on_op_complete tr (fun (c : Trace.op_completion) ->
+         P2p_obs.Log_hist.observe
+           (hist_of c.Trace.comp_kind !hists)
+           (c.Trace.comp_stop -. c.Trace.comp_start))
    | Some _ | None -> ());
   let underlay =
     Underlay.create ~engine ~routing ~metrics ?stress ?trace ~processing_delay ()
@@ -94,8 +98,8 @@ let run_for t ms = Engine.run_until (engine t) ~time:(now t +. ms)
 let finish_join t peer started ~op ?(on_done = fun (_ : join_outcome) -> ()) ~hops () =
   let latency = now t -. started in
   Metrics.record_join (metrics t) ~latency ~hops;
-  Trace.end_op (trace t) ~time:(now t) ~op
-    (Printf.sprintf "#%d joined, %d hops, %.2f ms" peer.Peer.host hops latency);
+  Trace.end_op_f (trace t) ~time:(now t) ~op "#%d joined, %d hops, %.2f ms"
+    peer.Peer.host hops latency;
   Failure.enable_heartbeats t.w peer;
   on_done { peer; hops; latency }
 
@@ -209,8 +213,7 @@ let leave t peer ?(on_done = fun () -> ()) () =
       (Printf.sprintf "#%d" peer.Peer.host)
   in
   let on_done () =
-    Trace.end_op (trace t) ~time:(now t) ~op
-      (Printf.sprintf "#%d left" peer.Peer.host);
+    Trace.end_op_f (trace t) ~time:(now t) ~op "#%d left" peer.Peer.host;
     on_done ()
   in
   match peer.Peer.role with

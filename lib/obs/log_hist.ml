@@ -8,11 +8,14 @@
    values at or below v0 (including zero-duration spans) land in
    bucket 0.
 
-   The index function is computed from logarithms and then fixed up
-   against the same [boundary] function, so a sample lying exactly on
-   boundary b_i always lands in bucket i and [percentile] hands back
-   b_i exactly — float rounding in [log]/[**] cannot shift edge
-   samples into a neighbouring bucket. *)
+   A sample's bucket is the first i with b_i >= x, found by bisection
+   over a precomputed table of the [boundary] values themselves, so a
+   sample lying exactly on boundary b_i always lands in bucket i and
+   [percentile] hands back b_i exactly.  Past the table (samples above
+   ~10^16) the index is computed from logarithms and then fixed up
+   against the same [boundary] function, so float rounding in
+   [log]/[**] cannot shift edge samples into a neighbouring bucket
+   there either. *)
 
 let v0 = 1e-3
 
@@ -20,13 +23,24 @@ let gamma = Float.pow 2.0 0.25
 
 let boundary i = v0 *. Float.pow gamma (float_of_int i)
 
+let table = Array.init 256 boundary
+
+let table_max = table.(Array.length table - 1)
+
 let index x =
   if not (Float.is_finite x) then invalid_arg "Log_hist.index: not finite"
   else if x <= v0 then 0
+  else if x <= table_max then begin
+    let lo = ref 0 and hi = ref (Array.length table - 1) in
+    while !lo < !hi do
+      let mid = (!lo + !hi) lsr 1 in
+      if table.(mid) >= x then hi := mid else lo := mid + 1
+    done;
+    !lo
+  end
   else begin
     let i = ref (int_of_float (ceil (log (x /. v0) /. log gamma))) in
-    if !i < 0 then i := 0;
-    while !i > 0 && boundary (!i - 1) >= x do
+    while boundary (!i - 1) >= x do
       decr i
     done;
     while boundary !i < x do
@@ -54,9 +68,9 @@ let create () =
 
 let observe t x =
   let i = index x in
-  (match Hashtbl.find_opt t.buckets i with
-   | Some c -> incr c
-   | None -> Hashtbl.add t.buckets i (ref 1));
+  (match Hashtbl.find t.buckets i with
+   | c -> incr c
+   | exception Not_found -> Hashtbl.add t.buckets i (ref 1));
   t.count <- t.count + 1;
   t.sum <- t.sum +. x;
   if x < t.min_v then t.min_v <- x;

@@ -172,8 +172,8 @@ let heal ?op t =
      cheaper to declare every edge summary stale than to track each move *)
   Summaries.invalidate_all w;
   if own_op then
-    Trace.end_op (World.trace w) ~time:(World.now w) ~op
-      (Printf.sprintf "promoted %d, re-replicated %d" !promoted !restored)
+    Trace.end_op_f (World.trace w) ~time:(World.now w) ~op
+      "promoted %d, re-replicated %d" !promoted !restored
 
 (* Online failure path: detections arrive once per watching neighbour and
    possibly for several victims of one storm; a single debounced timer
@@ -273,8 +273,8 @@ let anti_entropy_round t =
                 end))
           (Policy.ring_successors w ~home ~factor:t.factor))
       homes;
-    Trace.end_op (World.trace w) ~time:(World.now w) ~op
-      (Printf.sprintf "%d segment digests, %d mismatches" !segments !mismatches)
+    Trace.end_op_f (World.trace w) ~time:(World.now w) ~op
+      "%d segment digests, %d mismatches" !segments !mismatches
   end
 
 let start t =

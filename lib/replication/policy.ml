@@ -9,10 +9,18 @@ module Config = Hybrid_p2p.Config
 let ring_successors w ~home ~factor =
   let arr = World.t_peers w in
   let n = Array.length arr in
-  let idx = ref (-1) in
-  Array.iteri (fun i p -> if p == home then idx := i) arr;
-  if !idx < 0 || n <= 1 then []
-  else List.init (min factor (n - 1)) (fun k -> arr.((!idx + k + 1) mod n))
+  let idx =
+    match World.successor_index w home.Peer.p_id with
+    | i when i >= 0 && arr.(i) == home -> i
+    | _ ->
+      (* [home] is off the ring, or shares its p_id with another t-peer
+         and the search landed on that one: scan *)
+      let idx = ref (-1) in
+      Array.iteri (fun i p -> if p == home then idx := i) arr;
+      !idx
+  in
+  if idx < 0 || n <= 1 then []
+  else List.init (min factor (n - 1)) (fun k -> arr.((idx + k + 1) mod n))
 
 let targets w ~primary =
   let config = w.World.config in

@@ -1,12 +1,13 @@
 type handle = Event_queue.handle
 
-type labeled = { label : string option; thunk : unit -> unit }
-
 type label_stats = { mutable fires : int; mutable cpu_s : float }
 
 type t = {
-  queue : labeled Event_queue.t;
-  mutable clock : float;
+  (* the queue stores bare thunks: a label costs nothing per event
+     unless profiling wraps the thunk when it is scheduled *)
+  queue : (unit -> unit) Event_queue.t;
+  (* an all-float record: advancing the clock stores an unboxed float *)
+  clock : Event_queue.clock;
   mutable executed : int;
   root_rng : Rng.t;
   mutable queue_hwm : int;
@@ -14,7 +15,7 @@ type t = {
   label_table : (string, label_stats) Hashtbl.t;
   (* the executor closure, built once — [pop_apply] then runs events
      without a fresh closure per pop *)
-  exec : float -> labeled -> unit;
+  exec : (unit -> unit) -> unit;
   (* scoped batch insertion: inside [schedule_batch] every insert defers
      its heap sift until the outermost batch returns *)
   mutable in_batch : bool;
@@ -32,27 +33,20 @@ let account t label cpu_s =
   stats.fires <- stats.fires + 1;
   stats.cpu_s <- stats.cpu_s +. cpu_s
 
-let execute t time { label; thunk } =
-  t.clock <- time;
-  t.executed <- t.executed + 1;
-  match label with
-  | Some label when t.profiling ->
-    let started = Sys.time () in
-    thunk ();
-    account t label (Sys.time () -. started)
-  | Some _ | None -> thunk ()
-
 let create ~seed () =
   let rec t =
     {
       queue = Event_queue.create ();
-      clock = 0.0;
+      clock = { Event_queue.now = 0.0 };
       executed = 0;
       root_rng = Rng.create seed;
       queue_hwm = 0;
       profiling = false;
       label_table = Hashtbl.create 16;
-      exec = (fun time ev -> execute t time ev);
+      exec =
+        (fun thunk ->
+          t.executed <- t.executed + 1;
+          thunk ());
       in_batch = false;
     }
   in
@@ -60,7 +54,7 @@ let create ~seed () =
 
 let rng t = t.root_rng
 
-let now t = t.clock
+let now t = t.clock.Event_queue.now
 
 let enable_profiling t = t.profiling <- true
 
@@ -73,30 +67,43 @@ let track_insert t =
   let depth = Event_queue.length t.queue in
   if depth > t.queue_hwm then t.queue_hwm <- depth
 
+(* With profiling on, a labelled event runs inside the label's timing
+   wrapper, built when the event is scheduled. *)
+let profiled t label f =
+  match label with
+  | Some label when t.profiling ->
+    fun () ->
+      let started = Sys.time () in
+      f ();
+      account t label (Sys.time () -. started)
+  | Some _ | None -> f
+
 let add t ~time ~label f =
+  let f = profiled t label f in
   let h =
-    if t.in_batch then Event_queue.batch_add t.queue ~time { label; thunk = f }
-    else Event_queue.add t.queue ~time { label; thunk = f }
+    if t.in_batch then Event_queue.batch_add t.queue ~time f
+    else Event_queue.add t.queue ~time f
   in
   track_insert t;
   h
 
 let schedule ?label t ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule: negative delay";
-  add t ~time:(t.clock +. delay) ~label f
+  add t ~time:(now t +. delay) ~label f
 
 let schedule_at ?label t ~time f =
-  if time < t.clock then invalid_arg "Engine.schedule_at: time in the past";
+  if time < now t then invalid_arg "Engine.schedule_at: time in the past";
   add t ~time ~label f
 
 (* The fire-and-forget fast path: no handle, and [label] is a plain
    argument so a call site with a hoisted value allocates nothing beyond
-   the event record itself. *)
+   its own thunk. *)
 let schedule_detached t ~label ~delay f =
   if delay < 0.0 then invalid_arg "Engine.schedule_detached: negative delay";
-  let time = t.clock +. delay in
-  if t.in_batch then Event_queue.batch_add_fast t.queue ~time { label; thunk = f }
-  else Event_queue.add_fast t.queue ~time { label; thunk = f };
+  let time = now t +. delay in
+  let f = profiled t label f in
+  if t.in_batch then Event_queue.batch_add_fast t.queue ~time f
+  else Event_queue.add_fast t.queue ~time f;
   track_insert t
 
 (* hand-rolled instead of [Fun.protect]: this wraps every multi-recipient
@@ -117,21 +124,21 @@ let schedule_batch t f =
 
 let cancel = Event_queue.cancel
 
-let step t = Event_queue.pop_apply t.queue t.exec
+let step t = Event_queue.pop_apply t.queue t.clock t.exec
 
 let run t =
-  while Event_queue.pop_apply t.queue t.exec do
+  while Event_queue.pop_apply t.queue t.clock t.exec do
     ()
   done
 
 let run_until t ~time =
   while
     Event_queue.next_time t.queue <= time
-    && Event_queue.pop_apply t.queue t.exec
+    && Event_queue.pop_apply t.queue t.clock t.exec
   do
     ()
   done;
-  if time > t.clock then t.clock <- time
+  if time > now t then t.clock.Event_queue.now <- time
 
 let events_executed t = t.executed
 

@@ -21,8 +21,11 @@
     on ({!enable_profiling}), events scheduled with a [?label] additionally
     accumulate per-label fire counts and host-CPU handler time, so a run
     report can show where simulation wall-clock goes (message delivery vs
-    timers vs experiment glue).  Profiling is off by default and labelled
-    scheduling costs nothing while it stays off. *)
+    timers vs experiment glue).  The timing wrapper is attached when an
+    event is scheduled, so only events scheduled after {!enable_profiling}
+    are profiled; one scheduled earlier runs unprofiled even if it fires
+    later.  Profiling is off by default and labelled scheduling costs
+    nothing while it stays off: the queue holds the bare thunk. *)
 
 type t
 
@@ -50,9 +53,9 @@ val schedule_at : ?label:string -> t -> time:float -> (unit -> unit) -> handle
 
 (** [schedule_detached t ~label ~delay f] is {!schedule} for
     fire-and-forget events: no handle is returned, so nothing cancellable
-    is allocated (the queue reuses a shared never-dead handle and a
-    pooled entry).  [label] is a plain argument — pass a hoisted value at
-    hot call sites and the call allocates only the event record.  This
+    is allocated (the queue uses a shared never-dead handle).  [label]
+    is a plain argument — pass a hoisted value at hot call sites and the
+    call allocates nothing beyond [f] itself.  This
     is the per-message path of the underlay, which never cancels
     deliveries.
     @raise Invalid_argument if [delay < 0.]. *)
@@ -87,8 +90,9 @@ val run_until : t -> time:float -> unit
 
 (** {1 Profiling} *)
 
-(** [enable_profiling t] turns on per-label handler timing (irreversible
-    for the engine's lifetime; meant to be set right after {!create}). *)
+(** [enable_profiling t] turns on per-label handler timing for events
+    scheduled from now on (irreversible for the engine's lifetime; meant
+    to be set right after {!create}). *)
 val enable_profiling : t -> unit
 
 (** Is per-label profiling on? *)

@@ -1,95 +1,113 @@
 type handle = {
   mutable dead : bool;
-  mutable queued : bool;  (* still physically present in some heap slot *)
+  mutable queued : bool;  (* still physically present in the heap *)
   dead_count : int ref;  (* shared with the owning queue *)
 }
 
-(* Entries are mutable and recycled through a bounded pool.  The
-   ordering key lives outside them, in parallel unboxed arrays: [times]
-   (a mixed float/pointer record would box the float on every insertion)
-   and [seqs], so a sift compares without dereferencing any entry. *)
-type 'a entry = {
-  mutable value : 'a;
-  mutable handle : handle;
-}
+type clock = { mutable now : float }
 
+(* Two layers.  Payloads and handles sit in stable slots — [values] and
+   [handles], indexed by slot id, with the free ids on a stack — and
+   never move while queued.  The heap orders slot ids: [times], [seqs]
+   and [slots] are parallel arrays indexed by heap position, so a sift
+   moves two ints and a float per level, all unboxed, with no write
+   barrier.  A payload is written once when it is added and once when
+   its slot is freed. *)
 type 'a t = {
-  mutable heap : 'a entry array;
-  (* [heap]/[times]/[seqs] slots at index >= size are physical garbage
-     kept only to satisfy the array type. *)
   mutable times : float array;
   mutable seqs : int array;
-  mutable size : int;
+  mutable slots : int array;
+  mutable values : 'a array;
+  mutable handles : handle array;
+  mutable free : int array;  (* free slot ids, a stack of [free_len] *)
+  mutable free_len : int;
+  mutable size : int;  (* heap positions in use *)
   mutable tick : int;  (* next sequence number *)
-  dead_in_heap : int ref;  (* cancelled entries still occupying slots *)
+  dead_in_heap : int ref;  (* cancelled events still in the heap *)
   immortal : handle;  (* shared handle for never-cancelled events *)
-  mutable pool : 'a entry array;
-  mutable pool_len : int;
   mutable pending : int;  (* appended but not yet sifted (batch mode) *)
 }
 
-(* Bounds how many popped entries (and thus stale ['a] references) a
-   queue retains for reuse. *)
-let pool_cap = 1024
+(* What a free slot of [values] holds, so the queue keeps no payload
+   alive once its event is gone.  It is an immediate, so [Array.make]
+   never builds a flat float array from it, and it is never read back as
+   an ['a]: a slot is read only between its [add] and its release.  The
+   standard library's [Dynarray] fills its free cells the same way. *)
+let filler () : 'a = Obj.magic 0
 
 let create () =
   let dead_in_heap = ref 0 in
   {
-    heap = [||];
     times = [||];
     seqs = [||];
+    slots = [||];
+    values = [||];
+    handles = [||];
+    free = [||];
+    free_len = 0;
     size = 0;
     tick = 0;
     dead_in_heap;
     immortal = { dead = false; queued = false; dead_count = dead_in_heap };
-    pool = [||];
-    pool_len = 0;
     pending = 0;
   }
 
-let grow t entry =
-  let cap = Array.length t.heap in
-  if t.size = cap then begin
-    let new_cap = if cap = 0 then 16 else cap * 2 in
-    let heap = Array.make new_cap entry in
-    Array.blit t.heap 0 heap 0 t.size;
-    t.heap <- heap;
-    let times = Array.make new_cap 0.0 in
-    Array.blit t.times 0 times 0 t.size;
-    t.times <- times;
-    let seqs = Array.make new_cap 0 in
-    Array.blit t.seqs 0 seqs 0 t.size;
-    t.seqs <- seqs
-  end
+(* Double every array; the new slot ids join the free stack. *)
+let grow t =
+  let cap = Array.length t.times in
+  let new_cap = if cap = 0 then 16 else cap * 2 in
+  let extend a fill =
+    let b = Array.make new_cap fill in
+    Array.blit a 0 b 0 cap;
+    b
+  in
+  t.times <- extend t.times 0.0;
+  t.seqs <- extend t.seqs 0;
+  t.slots <- extend t.slots 0;
+  t.values <- extend t.values (filler ());
+  t.handles <- extend t.handles t.immortal;
+  let free = Array.make new_cap 0 in
+  Array.blit t.free 0 free 0 t.free_len;
+  for s = new_cap - 1 downto cap do
+    free.(t.free_len) <- s;
+    t.free_len <- t.free_len + 1
+  done;
+  t.free <- free
 
-(* A 4-ary heap: the children of slot [i] are [4i+1 .. 4i+4].  It is half
-   as deep as a binary heap and the four sibling keys sit side by side in
-   [times]/[seqs], so a removal touches fewer cache lines.  Both sifts
-   carry the moving entry in a hole and write it once at the end instead
-   of swapping at every level. *)
+let release t s =
+  t.values.(s) <- filler ();
+  t.handles.(s) <- t.immortal;
+  t.free.(t.free_len) <- s;
+  t.free_len <- t.free_len + 1
+
+(* A 4-ary heap: the children of position [i] are [4i+1 .. 4i+4].  It is
+   half as deep as a binary heap and the four sibling keys sit side by
+   side in [times]/[seqs], so a removal touches fewer cache lines.  Both
+   sifts carry the moving key in a hole and write it once at the end
+   instead of swapping at every level. *)
 
 let sift_up t i =
-  let heap = t.heap and times = t.times and seqs = t.seqs in
-  let e = heap.(i) and time = times.(i) and seq = seqs.(i) in
+  let times = t.times and seqs = t.seqs and slots = t.slots in
+  let time = times.(i) and seq = seqs.(i) and slot = slots.(i) in
   let i = ref i and moving = ref true in
   while !moving && !i > 0 do
     let p = (!i - 1) lsr 2 in
     let pt = times.(p) in
     if time < pt || (time = pt && seq < seqs.(p)) then begin
-      heap.(!i) <- heap.(p);
       times.(!i) <- pt;
       seqs.(!i) <- seqs.(p);
+      slots.(!i) <- slots.(p);
       i := p
     end
     else moving := false
   done;
-  heap.(!i) <- e;
   times.(!i) <- time;
-  seqs.(!i) <- seq
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
 let sift_down t i =
-  let heap = t.heap and times = t.times and seqs = t.seqs and size = t.size in
-  let e = heap.(i) and time = times.(i) and seq = seqs.(i) in
+  let times = t.times and seqs = t.seqs and slots = t.slots and size = t.size in
+  let time = times.(i) and seq = seqs.(i) and slot = slots.(i) in
   let i = ref i and moving = ref true in
   while !moving do
     let first = (4 * !i) + 1 in
@@ -109,64 +127,42 @@ let sift_down t i =
         end
       done;
       if !mt < time || (!mt = time && !ms < seq) then begin
-        heap.(!i) <- heap.(!m);
         times.(!i) <- !mt;
         seqs.(!i) <- !ms;
+        slots.(!i) <- slots.(!m);
         i := !m
       end
       else moving := false
     end
   done;
-  heap.(!i) <- e;
   times.(!i) <- time;
-  seqs.(!i) <- seq
+  seqs.(!i) <- seq;
+  slots.(!i) <- slot
 
-(* Bottom-up heapify: sift down every slot that has a child. *)
+(* Bottom-up heapify: sift down every position that has a child. *)
 let heapify t =
   for i = (t.size - 2) asr 2 downto 0 do
     sift_down t i
   done
 
-let recycle t e =
-  e.handle <- t.immortal;  (* never retain a cancellable handle *)
-  if t.pool_len < pool_cap then begin
-    let cap = Array.length t.pool in
-    if t.pool_len = cap then begin
-      let pool = Array.make (min pool_cap (max 16 (cap * 2))) e in
-      Array.blit t.pool 0 pool 0 t.pool_len;
-      t.pool <- pool
-    end;
-    t.pool.(t.pool_len) <- e;
-    t.pool_len <- t.pool_len + 1
-  end
-
-let take_entry t ~value ~handle =
-  if t.pool_len > 0 then begin
-    t.pool_len <- t.pool_len - 1;
-    let e = t.pool.(t.pool_len) in
-    e.value <- value;
-    e.handle <- handle;
-    e
-  end
-  else { value; handle }
-
-(* Squeeze every cancelled entry out in one pass and re-heapify.  Lazy
+(* Squeeze every cancelled event out in one pass and re-heapify.  Lazy
    cancellation only frees dead events when they surface at the root, so
    timer-heavy churn (watchdog resets, anti-entropy rearming) would
-   otherwise keep arbitrarily many dead slots alive in the middle of the
+   otherwise keep arbitrarily many dead events alive in the middle of the
    heap.  The full heapify also validates any pending batch suffix. *)
 let compact t =
   let live = ref 0 in
   for i = 0 to t.size - 1 do
-    let e = t.heap.(i) in
-    if e.handle.dead then begin
-      e.handle.queued <- false;
-      recycle t e
+    let s = t.slots.(i) in
+    let h = t.handles.(s) in
+    if h.dead then begin
+      h.queued <- false;
+      release t s
     end
     else begin
-      t.heap.(!live) <- e;
       t.times.(!live) <- t.times.(i);
       t.seqs.(!live) <- t.seqs.(i);
+      t.slots.(!live) <- s;
       incr live
     end
   done;
@@ -195,42 +191,45 @@ let flush_batch t =
 (* Every operation that reads the root must see a valid heap. *)
 let ensure t = if t.pending > 0 then flush_batch t
 
-(* Stamp [entry] with the next sequence number and append it. *)
-let append t ~time entry =
-  grow t entry;
-  let seq = t.tick in
-  t.tick <- seq + 1;
-  t.heap.(t.size) <- entry;
-  t.times.(t.size) <- time;
-  t.seqs.(t.size) <- seq;
-  t.size <- t.size + 1
+(* Put [value] in a free slot, stamp it with the next sequence number
+   and append it to the heap, unsifted. *)
+let append t ~time value handle =
+  if t.size = Array.length t.times then grow t;
+  t.free_len <- t.free_len - 1;
+  let s = t.free.(t.free_len) in
+  t.values.(s) <- value;
+  t.handles.(s) <- handle;
+  let i = t.size in
+  t.times.(i) <- time;
+  t.seqs.(i) <- t.tick;
+  t.slots.(i) <- s;
+  t.tick <- t.tick + 1;
+  t.size <- i + 1
+
+let new_handle t = { dead = false; queued = true; dead_count = t.dead_in_heap }
 
 let add t ~time value =
   ensure t;
-  let handle = { dead = false; queued = true; dead_count = t.dead_in_heap } in
-  let entry = take_entry t ~value ~handle in
   maybe_compact t;
-  append t ~time entry;
+  let handle = new_handle t in
+  append t ~time value handle;
   sift_up t (t.size - 1);
   handle
 
 let add_fast t ~time value =
   ensure t;
-  let entry = take_entry t ~value ~handle:t.immortal in
   maybe_compact t;
-  append t ~time entry;
+  append t ~time value t.immortal;
   sift_up t (t.size - 1)
 
 let batch_add t ~time value =
-  let handle = { dead = false; queued = true; dead_count = t.dead_in_heap } in
-  let entry = take_entry t ~value ~handle in
-  append t ~time entry;
+  let handle = new_handle t in
+  append t ~time value handle;
   t.pending <- t.pending + 1;
   handle
 
 let batch_add_fast t ~time value =
-  let entry = take_entry t ~value ~handle:t.immortal in
-  append t ~time entry;
+  append t ~time value t.immortal;
   t.pending <- t.pending + 1
 
 let cancel h =
@@ -241,24 +240,26 @@ let cancel h =
 
 let cancelled h = h.dead
 
+(* Unlink the root from the heap and free its slot; the caller reads
+   whatever it needs from the root first. *)
 let remove_top t =
-  let e = t.heap.(0) in
-  let h = e.handle in
+  let s = t.slots.(0) in
+  let h = t.handles.(s) in
   h.queued <- false;
   if h.dead then decr t.dead_in_heap;
+  release t s;
   let last = t.size - 1 in
   t.size <- last;
   if last > 0 then begin
-    t.heap.(0) <- t.heap.(last);
     t.times.(0) <- t.times.(last);
     t.seqs.(0) <- t.seqs.(last);
+    t.slots.(0) <- t.slots.(last);
     sift_down t 0
-  end;
-  recycle t e
+  end
 
 (* Discard dead events sitting at the root. *)
 let rec drop_dead t =
-  if t.size > 0 && t.heap.(0).handle.dead then begin
+  if t.size > 0 && t.handles.(t.slots.(0)).dead then begin
     remove_top t;
     drop_dead t
   end
@@ -269,20 +270,20 @@ let pop t =
   if t.size = 0 then None
   else begin
     let time = t.times.(0) in
-    let value = t.heap.(0).value in
+    let value = t.values.(t.slots.(0)) in
     remove_top t;
     Some (time, value)
   end
 
-let pop_apply t f =
+let pop_apply t clock f =
   ensure t;
   drop_dead t;
   if t.size = 0 then false
   else begin
-    let time = t.times.(0) in
-    let value = t.heap.(0).value in
+    let value = t.values.(t.slots.(0)) in
+    clock.now <- t.times.(0);
     remove_top t;
-    f time value;
+    f value;
     true
   end
 

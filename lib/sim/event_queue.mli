@@ -5,18 +5,21 @@
     the same instant fire in scheduling order — this keeps simulations
     deterministic.  Cancellation is lazy: a cancelled event stays in the heap
     until it reaches the top and is then discarded — but when cancelled
-    entries outnumber live ones the whole heap is compacted in one pass
+    events outnumber live ones the whole heap is compacted in one pass
     (amortized O(1) per cancellation), so timer-heavy churn cannot leak
     heap slots indefinitely.
 
-    The hot insertion/removal path is allocation-conscious: event times
-    and sequence numbers live in parallel unboxed arrays (a sift compares
-    keys without dereferencing an entry, and moves the sifted entry
-    through a hole rather than swapping), popped entries are recycled
-    through a bounded pool (at most 1024 stale ['a] references are
-    retained per queue), {!add_fast} skips the per-event handle, and the
-    [batch_*] operations defer heap sifting so a fan-out of [k] inserts
-    costs one restructuring pass instead of [k].
+    The hot insertion/removal path allocates nothing of its own.  Each
+    payload and its handle sit in a stable slot (arrays indexed by slot
+    id, with a free-slot stack) from {!add} until the event is popped,
+    compacted away or drained, and the slot is then overwritten, so the
+    queue keeps no payload alive after its event is gone.  The heap
+    itself is three unboxed parallel arrays — times, sequence numbers
+    and slot ids — so a sift compares and moves only ints and floats.
+    {!add_fast} skips the per-event handle, {!pop_apply} hands the popped
+    time over through a flat {!clock} rather than a boxed argument, and
+    the [batch_*] operations defer heap sifting so a fan-out of [k]
+    inserts costs one restructuring pass instead of [k].
 
     Determinism under batching: ordering keys [(time, seq)] are stamped at
     call time and are unique, so the pop sequence is a pure function of
@@ -35,12 +38,12 @@ val create : unit -> 'a t
 val add : 'a t -> time:float -> 'a -> handle
 
 (** [add_fast t ~time v] schedules [v] at [time] with no way to cancel
-    it; the queue's shared never-dead handle is used, so nothing beyond
-    the (pooled) entry is allocated. *)
+    it; the queue's shared never-dead handle is used, so nothing is
+    allocated beyond an occasional doubling of the queue's arrays. *)
 val add_fast : 'a t -> time:float -> 'a -> unit
 
 (** [batch_add t ~time v] appends [v] without restoring the heap
-    property; the entry participates in ordering only after the next
+    property; the event takes part in ordering only after the next
     {!flush_batch} (any reading operation flushes implicitly).  Use for
     fan-outs that insert many events back-to-back. *)
 val batch_add : 'a t -> time:float -> 'a -> handle
@@ -50,7 +53,7 @@ val batch_add : 'a t -> time:float -> 'a -> handle
 val batch_add_fast : 'a t -> time:float -> 'a -> unit
 
 (** [flush_batch t] restores the heap property after a run of
-    [batch_add*]: one sift per batched entry when the batch is small, a
+    [batch_add*]: one sift per batched event when the batch is small, a
     single bottom-up heapify when it rivals the heap size.  Idempotent;
     called automatically by every reading operation, so forgetting it
     costs nothing but the deferral. *)
@@ -67,11 +70,16 @@ val cancelled : handle -> bool
     [Some (time, v)], or [None] if the queue holds no live event. *)
 val pop : 'a t -> (float * 'a) option
 
-(** [pop_apply t f] removes the earliest live event and calls [f time v]
-    on it, returning [true]; [false] (without calling [f]) if the queue
+(** A flat float cell (an all-float record, so the float is stored
+    unboxed): {!pop_apply} writes the popped time into it. *)
+type clock = { mutable now : float }
+
+(** [pop_apply t clock f] removes the earliest live event, stores its time
+    in [clock.now] and calls [f v] on its payload, returning [true];
+    [false] (leaving [clock] alone and without calling [f]) if the queue
     holds no live event.  Equivalent to {!pop} but allocates nothing.
     The event is removed before [f] runs, so [f] may re-add. *)
-val pop_apply : 'a t -> (float -> 'a -> unit) -> bool
+val pop_apply : 'a t -> clock -> ('a -> unit) -> bool
 
 (** [peek_time t] is the timestamp of the earliest live event, if any.
     Dead events at the front are discarded as a side effect. *)

@@ -64,6 +64,15 @@ type op_completion = {
   comp_sampled : bool;
 }
 
+(* Keyed by op id.  Ids are minted consecutively, so the id itself is a
+   perfect hash and the per-op lookups skip the generic C hash. *)
+module Op_tbl = Hashtbl.Make (struct
+  type t = int
+
+  let equal = Int.equal
+  let hash op = op land max_int
+end)
+
 type t = {
   capacity : int;
   buffer : event option array;
@@ -99,9 +108,16 @@ type t = {
   mutable span_mismatches : int; (* double end, or time running backwards *)
   mutable spans_suppressed : int; (* begin after the parent had closed *)
   mutable spans_clamped : int; (* stop clamped to the parent's stop *)
-  op_roots : (int, int) Hashtbl.t; (* open op id -> its root span id *)
-  (* exact latency accounting for 100% of ops, independent of sampling *)
-  open_ops : (int, string * float) Hashtbl.t; (* op id -> kind, start *)
+  op_roots : int Op_tbl.t; (* open op id -> its root span id *)
+  (* exact latency accounting for 100% of ops, independent of sampling:
+     an open op's kind and start time sit in slot [Op_tbl.find open_ops
+     op] of two parallel arrays (the start unboxed), and freed slots are
+     reused, so opening an op allocates no tuple *)
+  open_ops : int Op_tbl.t; (* open op id -> its slot *)
+  mutable open_kinds : string array;
+  mutable open_starts : float array;
+  mutable open_free : int array; (* free slots, a stack of [open_free_len] *)
+  mutable open_free_len : int;
   mutable op_listener : (op_completion -> unit) option;
 }
 
@@ -142,8 +158,12 @@ let create ~capacity ?(sample_rate = 1.0) ?(sample_seed = 0)
     span_mismatches = 0;
     spans_suppressed = 0;
     spans_clamped = 0;
-    op_roots = Hashtbl.create 64;
-    open_ops = Hashtbl.create 64;
+    op_roots = Op_tbl.create 64;
+    open_ops = Op_tbl.create 64;
+    open_kinds = [||];
+    open_starts = [||];
+    open_free = [||];
+    open_free_len = 0;
     op_listener = None;
   }
 
@@ -174,8 +194,12 @@ let disabled =
     span_mismatches = 0;
     spans_suppressed = 0;
     spans_clamped = 0;
-    op_roots = Hashtbl.create 1;
-    open_ops = Hashtbl.create 1;
+    op_roots = Op_tbl.create 1;
+    open_ops = Op_tbl.create 1;
+    open_kinds = [||];
+    open_starts = [||];
+    open_free = [||];
+    open_free_len = 0;
     op_listener = None;
   }
 
@@ -251,7 +275,7 @@ let begin_span t ~time ~op ~tier ~phase ?parent ?src ?dst label =
   end
   else
     let chosen =
-      match parent with Some p -> Some p | None -> Hashtbl.find_opt t.op_roots op
+      match parent with Some p -> Some p | None -> Op_tbl.find_opt t.op_roots op
     in
     match chosen with
     | None ->
@@ -298,21 +322,44 @@ let mark_span t ~time ~op ~tier ~phase ?parent ?src ?dst label =
   let id = begin_span t ~time ~op ~tier ~phase ?parent ?src ?dst label in
   end_span t ~time id
 
+(* Exact accounting: note that [op] of [kind] opened at [time]. *)
+let open_op t ~op ~kind ~time =
+  let slot =
+    match Op_tbl.find_opt t.open_ops op with
+    | Some slot -> slot
+    | None ->
+      if t.open_free_len = 0 then begin
+        (* every slot is taken: double, stacking the new ones *)
+        let cap = Array.length t.open_starts in
+        let cap' = max 16 (2 * cap) in
+        t.open_kinds <- Array.append t.open_kinds (Array.make (cap' - cap) "");
+        t.open_starts <- Array.append t.open_starts (Array.make (cap' - cap) 0.0);
+        t.open_free <- Array.init cap' (fun i -> cap' - 1 - i);
+        t.open_free_len <- cap' - cap
+      end;
+      t.open_free_len <- t.open_free_len - 1;
+      let slot = t.open_free.(t.open_free_len) in
+      Op_tbl.add t.open_ops op slot;
+      slot
+  in
+  t.open_kinds.(slot) <- kind;
+  t.open_starts.(slot) <- time
+
 let begin_op t ~time ~kind detail =
   let id = t.next_op in
   t.next_op <- t.next_op + 1;
-  record t ~time ~tag:(op_kind_to_string kind ^ "-start") ~op:id detail;
   if t.active then begin
     (* every op is accounted exactly, sampled or not: percentile gates
        must not depend on the sample rate *)
-    Hashtbl.replace t.open_ops id (op_kind_to_string kind, time);
+    open_op t ~op:id ~kind:(op_kind_to_string kind) ~time;
     if sampled t id then begin
+      record t ~time ~tag:(op_kind_to_string kind ^ "-start") ~op:id detail;
       t.ops_sampled <- t.ops_sampled + 1;
       let root =
         mint_span t ~time ~op:id ~tier:"op" ~phase:(op_kind_to_string kind)
           ~parent:(-1) detail
       in
-      Hashtbl.replace t.op_roots id root
+      Op_tbl.replace t.op_roots id root
     end
   end;
   id
@@ -325,26 +372,30 @@ let begin_op t ~time ~kind detail =
    later {!begin_op} never re-mints the id. *)
 let begin_extern_op t ~time ~op ~kind ?src ?dst detail =
   if op >= t.next_op then t.next_op <- op + 1;
-  record t ~time ~tag:(op_kind_to_string kind ^ "-start") ~op ?src ?dst detail;
   if t.active then begin
-    Hashtbl.replace t.open_ops op (op_kind_to_string kind, time);
+    open_op t ~op ~kind:(op_kind_to_string kind) ~time;
     if sampled t op then begin
+      record t ~time ~tag:(op_kind_to_string kind ^ "-start") ~op ?src ?dst detail;
       t.ops_sampled <- t.ops_sampled + 1;
       let root =
         mint_span t ~time ~op ~tier:"op" ~phase:(op_kind_to_string kind)
           ~parent:(-1) ?src ?dst detail
       in
-      Hashtbl.replace t.op_roots op root
+      Op_tbl.replace t.op_roots op root
     end
   end
 
 let end_op t ~time ~op detail =
-  record t ~time ~tag:"op-end" ~op detail;
   if t.active then begin
-    (match Hashtbl.find_opt t.open_ops op with
-     | None -> ()
-     | Some (kind, start) ->
-       Hashtbl.remove t.open_ops op;
+    if sampled t op then record t ~time ~tag:"op-end" ~op detail;
+    (match Op_tbl.find t.open_ops op with
+     | exception Not_found -> ()
+     | slot ->
+       Op_tbl.remove t.open_ops op;
+       let kind = t.open_kinds.(slot) and start = t.open_starts.(slot) in
+       t.open_kinds.(slot) <- "";
+       t.open_free.(t.open_free_len) <- slot;
+       t.open_free_len <- t.open_free_len + 1;
        (match t.op_listener with
         | None -> ()
         | Some f ->
@@ -356,12 +407,16 @@ let end_op t ~time ~op detail =
               comp_stop = time;
               comp_sampled = sampled t op;
             }));
-    match Hashtbl.find_opt t.op_roots op with
+    match Op_tbl.find_opt t.op_roots op with
     | None -> ()
     | Some root ->
-      Hashtbl.remove t.op_roots op;
+      Op_tbl.remove t.op_roots op;
       end_span t ~time root
   end
+
+let end_op_f t ~time ~op fmt =
+  if t.active && sampled t op then Printf.ksprintf (end_op t ~time ~op) fmt
+  else Printf.ikfprintf (fun () -> end_op t ~time ~op "") () fmt
 
 let on_op_complete t f =
   if t.active then
@@ -376,7 +431,7 @@ let on_op_complete t f =
 
 let has_op_listener t = t.op_listener <> None
 
-let op_root_span t op = Hashtbl.find_opt t.op_roots op
+let op_root_span t op = Op_tbl.find_opt t.op_roots op
 
 let spans t =
   let start = t.span_next - t.span_retained in
@@ -426,8 +481,12 @@ let clear t =
   t.retained <- 0;
   Array.fill t.spans 0 t.capacity None;
   t.span_retained <- 0;
-  Hashtbl.reset t.op_roots;
-  Hashtbl.reset t.open_ops
+  Op_tbl.reset t.op_roots;
+  Op_tbl.reset t.open_ops;
+  t.open_kinds <- [||];
+  t.open_starts <- [||];
+  t.open_free <- [||];
+  t.open_free_len <- 0
 
 let reset t =
   clear t;

@@ -182,6 +182,12 @@ val begin_extern_op :
     suppressed (see {!begin_span}). *)
 val end_op : t -> time:float -> op:int -> string -> unit
 
+(** [end_op_f t ~time ~op fmt ...] — {!end_op} with a format string; the
+    detail is built only when the trace is enabled and [op] is sampled,
+    the only case in which the ["op-end"] event is recorded. *)
+val end_op_f :
+  t -> time:float -> op:int -> ('a, unit, string, unit) format4 -> 'a
+
 (** [begin_span t ~time ~op ~tier ~phase label] opens a span under
     operation [op] and returns its id.  [parent] defaults to the op's root
     span, so protocol code needs no parent threading.  Containment is kept

@@ -179,6 +179,47 @@ let test_baseline_r0_loses_data () =
   H.run h;
   checkb "r = 0 loses items" true (H.total_items h < before)
 
+(* The linear scan [Policy.ring_successors] used to locate [home] with. *)
+let scan_ring_successors w ~home ~factor =
+  let arr = World.t_peers w in
+  let n = Array.length arr in
+  let idx = ref (-1) in
+  Array.iteri (fun i p -> if p == home then idx := i) arr;
+  if !idx < 0 || n <= 1 then []
+  else List.init (min factor (n - 1)) (fun k -> arr.((!idx + k + 1) mod n))
+
+let test_ring_successors_match_scan () =
+  let h, _, _ = replicated_system ~seed:68 ~n:100 ~ps:0.6 ~r:2 () in
+  ignore (insert_items h ~count:200 : string list);
+  let crashed = ref [] in
+  for wave = 1 to 2 do
+    let victims = List.filteri (fun i _ -> i mod 7 = wave) (H.peers h) in
+    List.iter (H.crash h) victims;
+    crashed := victims @ !crashed;
+    H.repair h;
+    H.run h;
+    ignore (H.grow h ~count:8 ~s_fraction:0.6 : Peer.t array)
+  done;
+  let w = H.world h in
+  let agree what =
+    (* every peer as [home]: live t-peers, s-peers and crashed peers *)
+    List.iter
+      (fun home ->
+        for factor = 1 to 3 do
+          checkb what true
+            (List.equal ( == )
+               (scan_ring_successors w ~home ~factor)
+               (Policy.ring_successors w ~home ~factor))
+        done)
+      (H.peers h @ !crashed)
+  in
+  agree "same targets as the scan after churn";
+  (* two t-peers sharing a p_id: the search can land on the other one *)
+  let arr = World.t_peers w in
+  arr.(5).Peer.p_id <- arr.(4).Peer.p_id;
+  World.touch_ring w;
+  agree "same targets as the scan with a shared p_id"
+
 (* --- audit check & heal ------------------------------------------------ *)
 
 let test_dropped_replica_flagged_then_healed () =
@@ -285,6 +326,8 @@ let suite =
       test_crash_waves_lose_nothing;
     Alcotest.test_case "crash: r=0 baseline loses data" `Quick
       test_baseline_r0_loses_data;
+    Alcotest.test_case "policy: ring successors match the scan after churn" `Quick
+      test_ring_successors_match_scan;
     Alcotest.test_case "audit: dropped copy flagged then healed" `Quick
       test_dropped_replica_flagged_then_healed;
     Alcotest.test_case "anti-entropy: restores and prunes" `Quick

@@ -105,7 +105,7 @@ let test_queue_interleaved () =
     end
   done
 
-(* --- batched insertion and the entry pool --- *)
+(* --- batched insertion and slot reuse --- *)
 
 let test_queue_batch_determinism () =
   (* the same schedule through [batch_add] + [flush_batch] must pop
@@ -164,39 +164,97 @@ let test_queue_add_fast () =
 let test_queue_pop_apply () =
   let q = Event_queue.create () in
   ignore (Event_queue.add q ~time:1.0 1 : Event_queue.handle);
+  let clock = { Event_queue.now = 0.0 } in
   let seen = ref [] in
-  let f time v =
+  let f v =
+    let time = clock.now in
     seen := (time, v) :: !seen;
-    (* the entry is removed before [f] runs, so re-adding is fine *)
+    (* the event is removed before [f] runs, so re-adding is fine *)
     if v < 3 then ignore (Event_queue.add q ~time:(time +. 1.0) (v + 1) : Event_queue.handle)
   in
-  while Event_queue.pop_apply q f do
+  while Event_queue.pop_apply q clock f do
     ()
   done;
   Alcotest.check
     (Alcotest.list (Alcotest.pair (Alcotest.float 1e-9) Alcotest.int))
     "chain" [ (1.0, 1); (2.0, 2); (3.0, 3) ] (List.rev !seen);
-  checkb "empty returns false" false (Event_queue.pop_apply q f)
+  checkb "empty returns false" false (Event_queue.pop_apply q clock f);
+  checkf "an empty pop leaves the clock" 3.0 clock.now
 
-let test_queue_pool_reuse () =
-  (* thousands of add/pop cycles churn through the entry pool; recycled
-     entries must never leak a stale value or break ordering *)
+let test_queue_slot_reuse () =
+  (* thousands of add/pop cycles, with cancels, churn through the free
+     slots; a reused slot must never hand out a stale value or break
+     ordering *)
   let q = Event_queue.create () in
   for round = 0 to 99 do
-    for i = 0 to 49 do
-      ignore
-        (Event_queue.add q ~time:(float_of_int (i * 13 mod 50)) (round, i)
-          : Event_queue.handle)
-    done;
+    let handles =
+      List.init 50 (fun i ->
+          Event_queue.add q ~time:(float_of_int (i * 13 mod 50)) (round, i))
+    in
+    List.iteri (fun i h -> if i mod 5 = 0 then Event_queue.cancel h) handles;
     let last = ref neg_infinity in
-    for _ = 0 to 49 do
-      let time, (r, _) = Option.get (Event_queue.pop q) in
+    for _ = 1 to 40 do
+      let time, (r, i) = Option.get (Event_queue.pop q) in
       checkb "time monotone" true (time >= !last);
       last := time;
-      checki "value from this round" round r
+      checki "value from this round" round r;
+      checkb "not a cancelled value" true (i mod 5 <> 0)
     done;
     checkb "drained" true (Event_queue.is_empty q)
   done
+
+(* Payloads are heap blocks watched through a weak array: once the queue
+   is done with an event, a major GC must be able to collect its
+   payload.  The payloads are built inside [fill] so no frame of the test
+   keeps one alive. *)
+let test_queue_releases_payloads () =
+  let n = 64 in
+  let fill q weak ~cancel_from =
+    let handles =
+      Array.init n (fun i ->
+          let payload = Bytes.make 16 (Char.chr (i land 127)) in
+          Weak.set weak i (Some payload);
+          Event_queue.add q ~time:(float_of_int i) payload)
+    in
+    Array.iteri (fun i h -> if i >= cancel_from then Event_queue.cancel h) handles
+  in
+  let collected weak from upto =
+    Gc.full_major ();
+    let alive = ref 0 in
+    for i = from to upto - 1 do
+      if Weak.check weak i then incr alive
+    done;
+    !alive
+  in
+  (* popped: by [pop], by [pop_apply], and drained to empty *)
+  let q = Event_queue.create () in
+  let weak = Weak.create n in
+  fill q weak ~cancel_from:n;
+  ignore (Event_queue.pop q : (float * Bytes.t) option);
+  let clock = { Event_queue.now = 0.0 } in
+  ignore (Event_queue.pop_apply q clock ignore : bool);
+  checki "popped payloads collected" 0 (collected weak 0 2);
+  checki "queued payloads kept" (n - 2) (collected weak 2 n);
+  while Event_queue.pop_apply q clock ignore do
+    ()
+  done;
+  checki "drained payloads collected" 0 (collected weak 0 n);
+  (* cancelled: dropped at the root, or squeezed out by compaction *)
+  let q = Event_queue.create () in
+  let weak = Weak.create n in
+  fill q weak ~cancel_from:8;
+  checki "cancelled events stay until the next add" n (Event_queue.length q);
+  Event_queue.add_fast q ~time:1000.0 (Bytes.make 16 'z');
+  checkb "compacted" true (Event_queue.length q < n);
+  checki "compacted payloads collected" 0 (collected weak 8 n);
+  checki "live payloads kept" 8 (collected weak 0 8);
+  (* ... by a queue still in use *)
+  checki "live events" 9 (Event_queue.live_length q);
+  let q = Event_queue.create () in
+  let weak = Weak.create n in
+  fill q weak ~cancel_from:0;
+  checkb "all cancelled" true (Event_queue.is_empty q);
+  checki "payloads dropped at the root collected" 0 (collected weak 0 n)
 
 (* --- model-based check against a sorted list --- *)
 
@@ -247,6 +305,7 @@ let run_queue_model ops =
   let model = ref [] (* (time, index, dead flag) *) in
   let handles = ref [||] in
   let inserted = ref 0 and pending = ref 0 in
+  let clock = { Event_queue.now = -1.0 } in
   let live () = List.filter (fun (_, _, dead) -> not !dead) !model in
   let least () =
     List.fold_left
@@ -313,10 +372,13 @@ let run_queue_model ops =
       true
     | Pop -> (
       note_flush ();
+      (* the popped time arrives through the clock cell, unboxed; an
+         empty pop must leave the cell alone *)
+      let before = clock.now in
       let got = ref None in
-      let popped = Event_queue.pop_apply q (fun time v -> got := Some (time, v)) in
+      let popped = Event_queue.pop_apply q clock (fun v -> got := Some (clock.now, v)) in
       match (least (), !got) with
-      | None, None -> not popped
+      | None, None -> (not popped) && clock.now = before
       | Some (t, i, dead), Some (time, v) ->
         dead := true;
         popped && float_of_int t = time && i = v
@@ -530,6 +592,29 @@ let test_engine_schedule_detached () =
     (Invalid_argument "Engine.schedule_detached: negative delay") (fun () ->
       Engine.schedule_detached e ~label:None ~delay:(-1.0) (fun () -> ()))
 
+(* Profiling wraps a labelled thunk when it is scheduled, so an event
+   scheduled before [enable_profiling] runs unprofiled even if it fires
+   afterwards. *)
+let test_engine_profiling_from_schedule () =
+  let e = Engine.create ~seed:1 () in
+  let ran = ref 0 in
+  let count () = incr ran in
+  ignore (Engine.schedule ~label:"before" e ~delay:1.0 count : Engine.handle);
+  Engine.schedule_detached e ~label:(Some "before-detached") ~delay:1.0 count;
+  Engine.enable_profiling e;
+  ignore (Engine.schedule ~label:"after" e ~delay:2.0 count : Engine.handle);
+  ignore (Engine.schedule ~label:"after" e ~delay:2.5 count : Engine.handle);
+  Engine.schedule_detached e ~label:(Some "after-detached") ~delay:3.0 count;
+  ignore (Engine.schedule e ~delay:4.0 count : Engine.handle);
+  Engine.run e;
+  checki "every event ran" 6 !ran;
+  checki "events executed" 6 (Engine.events_executed e);
+  Alcotest.check
+    (Alcotest.list (Alcotest.pair Alcotest.string Alcotest.int))
+    "rows for events scheduled after enable_profiling only"
+    [ ("after", 2); ("after-detached", 1) ]
+    (List.map (fun (label, fires, _) -> (label, fires)) (Engine.profile e))
+
 (* The high-water mark is the deepest the heap has physically been.
    Cancelled events discarded at the root leave the heap as surely as
    executed ones, so they must not keep inflating the figure. *)
@@ -624,7 +709,9 @@ let suite =
     Alcotest.test_case "queue: cancel inside batch" `Quick test_queue_batch_cancel;
     Alcotest.test_case "queue: add_fast ordering" `Quick test_queue_add_fast;
     Alcotest.test_case "queue: pop_apply" `Quick test_queue_pop_apply;
-    Alcotest.test_case "queue: entry pool reuse" `Quick test_queue_pool_reuse;
+    Alcotest.test_case "queue: slot reuse" `Quick test_queue_slot_reuse;
+    Alcotest.test_case "queue: finished events release payloads" `Quick
+      test_queue_releases_payloads;
     QCheck_alcotest.to_alcotest ~rand:(Random.State.make [| 20261017 |]) prop_queue_model;
     Alcotest.test_case "queue: model reaches both flushes and compaction" `Quick
       test_queue_model_coverage;
@@ -645,6 +732,8 @@ let suite =
       test_engine_schedule_detached;
     Alcotest.test_case "engine: queue high water after dead-root drops" `Quick
       test_engine_queue_high_water;
+    Alcotest.test_case "engine: profiles events scheduled after enabling" `Quick
+      test_engine_profiling_from_schedule;
     Alcotest.test_case "timer: one-shot" `Quick test_timer_one_shot;
     Alcotest.test_case "timer: cancel" `Quick test_timer_cancel;
     Alcotest.test_case "timer: reset postpones" `Quick test_timer_reset_postpones;

@@ -276,6 +276,43 @@ let test_log_hist_boundaries () =
        false
      with Invalid_argument _ -> true)
 
+(* The bucket formula the boundary table replaced: a log estimate fixed
+   up against [boundary].  The table must agree with it everywhere. *)
+let reference_index x =
+  if x <= Log_hist.v0 then 0
+  else begin
+    let i =
+      ref (int_of_float (ceil (log (x /. Log_hist.v0) /. log Log_hist.gamma)))
+    in
+    if !i < 0 then i := 0;
+    while !i > 0 && Log_hist.boundary (!i - 1) >= x do
+      decr i
+    done;
+    while Log_hist.boundary !i < x do
+      incr i
+    done;
+    !i
+  end
+
+let test_log_hist_table_matches_formula () =
+  let agree what x =
+    checki (Printf.sprintf "%s %h" what x) (reference_index x) (Log_hist.index x)
+  in
+  (* every boundary inside the table and some way past it, with its
+     neighbouring floats *)
+  for i = 0 to 300 do
+    let b = Log_hist.boundary i in
+    agree "boundary" b;
+    agree "below boundary" (Float.pred b);
+    agree "above boundary" (Float.succ b)
+  done;
+  let rand = Random.State.make [| 16 |] in
+  for _ = 1 to 10_000 do
+    (* log-uniform from below v0 to beyond the table's last boundary *)
+    let x = Log_hist.v0 *. Float.pow 2.0 (Random.State.float rand 80.0 -. 4.0) in
+    agree "random" x
+  done
+
 let test_log_hist_percentiles () =
   let h = Log_hist.create () in
   (* a single sample is reported back exactly, at every percentile:
@@ -713,6 +750,8 @@ let suite =
     Alcotest.test_case "critical path overlap" `Quick test_critical_path_overlap;
     Alcotest.test_case "record into registry" `Quick test_record_into_registry;
     Alcotest.test_case "log-hist bucket boundaries" `Quick test_log_hist_boundaries;
+    Alcotest.test_case "log-hist table matches the formula" `Quick
+      test_log_hist_table_matches_formula;
     Alcotest.test_case "log-hist percentiles" `Quick test_log_hist_percentiles;
     Alcotest.test_case "log-hist merge" `Quick test_log_hist_merge;
     Alcotest.test_case "slo specs" `Quick test_slo;
